@@ -220,12 +220,7 @@ def _roll_up_component(component: C2RPQ, names: _NameSource) -> Tuple[List, Set[
                 regex = atom.regex.reverse()
             # the memoized compilation returns build_nfa(regex) verbatim, so
             # the state numbering — and with it the fresh concept names the
-            # simulation mints below — is exactly the pre-core one.  The
-            # default intern context is deliberate: this Lemma C.2 code path
-            # only reads the NFA and the emptiness flag (never a DFA), and
-            # threading schema identity in here would buy nothing — at worst
-            # a regex also compiled under a schema context occupies two memo
-            # entries
+            # simulation mints below — is exactly the pre-core one
             automaton = compile_regex(regex)
             nfa = automaton.nfa
             accept = names.accept(index)

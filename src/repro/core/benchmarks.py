@@ -5,18 +5,15 @@ Four measurements, each returning a JSON-able report block (shared by
 --suite automata``):
 
 * :func:`compile_benchmark` — cold versus memoized regex → automaton
-  compilation (NFA + minimal DFA + cycle flag + pumped word list) over a
+  compilation (NFA + cycle/emptiness flags + pumped word list) over a
   deterministic, pumped-enumeration-heavy corpus;
 * :func:`enumeration_benchmark` — re-running the NFA's pumped-normal-form
   enumeration on every request versus reusing the compiled automaton's
-  memoized word tuple, plus a single-pass NFA-versus-minimal-DFA comparison
-  (the deterministic automaton walks one run per word, the NFA's frontier
-  carries duplicated runs it must dedupe);
-* :func:`kernel_benchmark` — per-kernel rows pitting the historical
-  dict-walk implementations (kept verbatim as references) against the dense
-  flat-array / bitset kernels the public API routes through, with word-for-
-  word equality checked in-harness before any clock starts — a regression
-  names the guilty kernel, not a downstream verdict;
+  memoized word tuple;
+* :func:`kernel_benchmark` — the historical dict-walk NFA enumeration (kept
+  verbatim as the reference) against the bitset kernel the public API
+  routes through, with word-for-word equality checked in-harness before any
+  clock starts — a regression names the kernel, not a downstream verdict;
 * :func:`prefix_sharing_benchmark` — the Theorem 6.1 witness enumeration on
   a sparse-witness instance (every pattern refuted, first atoms refute
   early) with and without :class:`repro.core.PrefixPruner`, asserting the
@@ -37,7 +34,6 @@ from ..graph import forward
 from ..rpq.automaton import build_nfa
 from ..rpq.parser import parse_c2rpq, parse_regex
 from .compile import clear_compile_memo, compile_regex
-from .kernels import numpy_module
 
 __all__ = [
     "compile_benchmark",
@@ -78,8 +74,8 @@ def regex_corpus():
 def _force_compile(regex) -> None:
     """Compile *regex* and force every lazily derived artefact."""
     automaton = compile_regex(regex)
-    automaton.minimal_dfa()
     automaton.has_productive_cycle()
+    automaton.is_empty()
     automaton.words(MAX_LENGTH, MAX_STATE_REPEATS, MAX_WORDS)
 
 
@@ -87,8 +83,7 @@ def compile_benchmark(repeats: int = 5) -> Dict[str, Any]:
     """Cold versus memoized compilation over the corpus.
 
     A cold round clears the process-wide compile memo first, so every regex
-    pays for NFA construction, subset construction, minimisation and the
-    pumped enumeration; a memoized round replays the same requests against
+    pays for NFA construction, the flags and the pumped enumeration; a memoized round replays the same requests against
     the warm memo.
     """
     repeats = max(1, repeats)
@@ -123,9 +118,7 @@ def enumeration_benchmark(requests: int = 50) -> Dict[str, Any]:
 
     The pre-core solvers re-ran ``NFA.enumerate_words`` for every roll-up
     choice, disjunct and batch request touching the same atom; the compiled
-    automaton hands back one shared tuple instead.  Also reports how many of
-    the NFA's pumped words are duplicates (the minimal DFA enumerates each
-    word of the language exactly once).
+    automaton hands back one shared tuple instead.
     """
     requests = max(1, requests)
     corpus = regex_corpus()
@@ -153,50 +146,12 @@ def enumeration_benchmark(requests: int = 50) -> Dict[str, Any]:
             automaton.words(MAX_LENGTH, MAX_STATE_REPEATS, MAX_WORDS)
     memoized = time.perf_counter() - started
 
-    # single-pass comparison: the minimal DFA has exactly one run per word
-    # (no duplicated frontier entries, no seen-set), so even while it covers
-    # *more* of the language — it is not cut off by the state-repeat bound —
-    # a pass over it is cheaper per word than the NFA's pumped search.
-    # Build the DFAs *before* the timer: this measures enumeration, not
-    # subset construction + minimisation (those are in compile_benchmark)
-    for automaton in automata:
-        automaton.minimal_dfa()
-    started = time.perf_counter()
-    nfa_words = sum(
-        len(
-            tuple(
-                automaton.nfa.enumerate_words(
-                    max_length=MAX_LENGTH,
-                    max_state_repeats=MAX_STATE_REPEATS,
-                    max_words=MAX_WORDS,
-                )
-            )
-        )
-        for automaton in automata
-    )
-    nfa_pass = time.perf_counter() - started
-    started = time.perf_counter()
-    dfa_words = sum(
-        len(tuple(automaton.minimal_dfa().enumerate_words(MAX_LENGTH, MAX_WORDS)))
-        for automaton in automata
-    )
-    dfa_pass = time.perf_counter() - started
-
-    nfa_states = sum(automaton.nfa.state_count() for automaton in automata)
-    dfa_states = sum(automaton.minimal_dfa().state_count() for automaton in automata)
     return {
         "requests_per_regex": requests,
         "uncached_seconds": uncached,
         "memoized_seconds": memoized,
         "speedup": (uncached / memoized) if memoized else float("inf"),
-        "nfa_states": nfa_states,
-        "minimal_dfa_states": dfa_states,
-        "nfa_pass_seconds": nfa_pass,
-        "dfa_pass_seconds": dfa_pass,
-        "nfa_words": nfa_words,
-        "dfa_words": dfa_words,
-        "nfa_microseconds_per_word": (nfa_pass / nfa_words * 1e6) if nfa_words else None,
-        "dfa_microseconds_per_word": (dfa_pass / dfa_words * 1e6) if dfa_words else None,
+        "nfa_states": sum(automaton.nfa.state_count() for automaton in automata),
     }
 
 
@@ -213,45 +168,27 @@ def _kernel_row(dictwalk_seconds: float, kernel_seconds: float, words: int) -> D
 
 
 def kernel_benchmark(requests: int = 50) -> Dict[str, Any]:
-    """Per-kernel dict-walk versus dense/bitset timings, equality-checked.
+    """Dict-walk versus bitset NFA enumeration timings, equality-checked.
 
-    Each row times the *same* operation twice in the warm-object regime the
+    The row times the *same* operation twice in the warm-object regime the
     solvers actually run in (automata compiled once, then queried per
     request — the regime of ``enumeration_benchmark``'s uncached row): the
     historical dict-walk implementation, kept verbatim as the reference, and
     the kernel path the public API now routes through.  Before any clock
-    starts, every word list and acceptance vector is checked element-for-
-    element against the reference — a mismatch raises :class:`RuntimeError`
-    (a real exception, not ``assert``: the check must survive ``python -O``),
-    so a regression names the guilty kernel instead of showing up as a wrong
-    verdict three layers up.
+    starts, every word list is checked element-for-element against the
+    reference — a mismatch raises :class:`RuntimeError` (a real exception,
+    not ``assert``: the check must survive ``python -O``), so a regression
+    names the kernel instead of showing up as a wrong verdict three layers
+    up.
 
-    Rows:
-
-    * ``nfa_enumeration`` — the pumped-normal-form search of Theorem 6.1
-      (the dominant uncached cost: byte-lane visit counters and presorted
-      int adjacency versus dict frontiers); this is the path the ≥5x
-      acceptance gate covers.
-    * ``dfa_enumeration`` — minimal-DFA word enumeration (dense rows with
-      precomputed distance-to-final budgets versus dict rows).  Both sides
-      pay the same per-word tuple materialisation — building the emitted
-      ``word + (symbol,)`` tuples dominates at these automaton sizes — which
-      puts a structural ceiling of roughly 3x on this row; the gate is ≥2x.
-    * ``batch_acceptance`` — id-word batches through
-      :meth:`DenseDFA.accepts_batch` versus a per-word dict walk.  Reported
-      and parity-checked but not gated: the stdlib walk early-exits on the
-      dead sink, which no batch formulation can, so the dense win here is
-      modest and the numpy path only engages on very large batches.
-
-    ``numpy`` records whether the optional accelerator was importable and
-    enabled — outputs are identical either way, only timings move.
+    ``nfa_enumeration`` is the pumped-normal-form search of Theorem 6.1 (the
+    dominant uncached cost: byte-lane visit counters and presorted int
+    adjacency versus dict frontiers); the ≥5x acceptance gate covers it.
     """
     requests = max(1, requests)
     corpus = regex_corpus()
     clear_compile_memo()
-    automata = [compile_regex(regex) for regex in corpus]
-    nfas = [automaton.nfa for automaton in automata]
-    dfas = [automaton.minimal_dfa() for automaton in automata]
+    nfas = [compile_regex(regex).nfa for regex in corpus]
 
     # --- equality first, clocks second ---------------------------------- #
     nfa_words = 0
@@ -273,30 +210,6 @@ def kernel_benchmark(requests: int = 50) -> Dict[str, Any]:
             )
         nfa_words += len(reference)
 
-    dfa_words = 0
-    batch_words: List[Tuple[Any, List[Tuple[int, ...]]]] = []
-    for dfa in dfas:
-        reference = tuple(dfa._enumerate_words_dictwalk(MAX_LENGTH, MAX_WORDS))
-        kernel = tuple(dfa.enumerate_words(MAX_LENGTH, MAX_WORDS))
-        if kernel != reference:
-            raise RuntimeError(
-                f"DFA kernel enumeration diverged from the dict walk: "
-                f"{len(kernel)} kernel words vs {len(reference)} reference words"
-            )
-        dfa_words += len(reference)
-        # batch-acceptance inputs: every enumerated word (accepted), each
-        # word minus its last letter (usually rejected) and one word with an
-        # id the automaton has never seen (always rejected)
-        ids = [tuple(dfa.table.known(symbol) for symbol in word) for word in reference]
-        ids.extend(word[:-1] for word in ids[:] if word)
-        unknown = (max(dfa.alphabet_ids(), default=0) + 999,)
-        ids.append(unknown)
-        expected = [dfa.accepts_ids(word) for word in ids]
-        if dfa.dense().accepts_batch(ids) != expected:
-            raise RuntimeError("DenseDFA.accepts_batch diverged from the per-word dict walk")
-        batch_words.append((dfa, ids))
-    batch_count = sum(len(ids) for _, ids in batch_words)
-
     # best-of-*rounds* timing (like compile_benchmark): per-request ratios
     # on a sub-millisecond workload are noisy, minima are stable
     rounds = 3
@@ -312,11 +225,11 @@ def kernel_benchmark(requests: int = 50) -> Dict[str, Any]:
                 best = elapsed
         return best
 
-    def nfa_dictwalk_round() -> None:
+    def dictwalk_round() -> None:
         for nfa in nfas:
             tuple(nfa._enumerate_words_dictwalk(MAX_LENGTH, MAX_STATE_REPEATS, MAX_WORDS))
 
-    def nfa_kernel_round() -> None:
+    def kernel_round() -> None:
         for nfa in nfas:
             tuple(
                 nfa.enumerate_words(
@@ -326,36 +239,11 @@ def kernel_benchmark(requests: int = 50) -> Dict[str, Any]:
                 )
             )
 
-    def dfa_dictwalk_round() -> None:
-        for dfa in dfas:
-            tuple(dfa._enumerate_words_dictwalk(MAX_LENGTH, MAX_WORDS))
-
-    def dfa_kernel_round() -> None:
-        for dfa in dfas:
-            tuple(dfa.enumerate_words(MAX_LENGTH, MAX_WORDS))
-
-    def batch_dictwalk_round() -> None:
-        for dfa, ids in batch_words:
-            for word in ids:
-                dfa.accepts_ids(word)
-
-    def batch_kernel_round() -> None:
-        for dfa, ids in batch_words:
-            dfa.dense().accepts_batch(ids)
-
-    nfa_dictwalk = best_of(nfa_dictwalk_round)
-    nfa_kernel = best_of(nfa_kernel_round)
-    dfa_dictwalk = best_of(dfa_dictwalk_round)
-    dfa_kernel = best_of(dfa_kernel_round)
-    batch_dictwalk = best_of(batch_dictwalk_round)
-    batch_kernel = best_of(batch_kernel_round)
-
+    dictwalk = best_of(dictwalk_round)
+    kernel = best_of(kernel_round)
     return {
         "requests_per_regex": requests,
-        "numpy": numpy_module() is not None,
-        "nfa_enumeration": _kernel_row(nfa_dictwalk, nfa_kernel, nfa_words * requests),
-        "dfa_enumeration": _kernel_row(dfa_dictwalk, dfa_kernel, dfa_words * requests),
-        "batch_acceptance": _kernel_row(batch_dictwalk, batch_kernel, batch_count * requests),
+        "nfa_enumeration": _kernel_row(dictwalk, kernel, nfa_words * requests),
     }
 
 
@@ -443,7 +331,7 @@ def summary(report: Dict[str, Any]) -> str:
     """A human-readable per-measurement summary of :func:`run_report`'s output."""
     compile_block = report["compile"]
     enumeration = report["enumeration"]
-    kernels = report["kernels"]
+    nfa = report["kernels"]["nfa_enumeration"]
     sharing = report["prefix_sharing"]
     lines: List[str] = [
         (
@@ -455,22 +343,11 @@ def summary(report: Dict[str, Any]) -> str:
         (
             f"enumeration: uncached {enumeration['uncached_seconds'] * 1000:.1f} ms, "
             f"memoized {enumeration['memoized_seconds'] * 1000:.1f} ms "
-            f"({enumeration['speedup']:.1f}x); minimal DFAs use "
-            f"{enumeration['minimal_dfa_states']} states vs {enumeration['nfa_states']} NFA states"
+            f"({enumeration['speedup']:.1f}x) over {enumeration['nfa_states']} NFA states"
         ),
         (
-            "kernels ({}): nfa enumeration {:.2f} -> {:.2f} us/word ({:.1f}x), "
-            "dfa enumeration {:.2f} -> {:.2f} us/word ({:.1f}x), "
-            "batch acceptance {:.1f}x".format(
-                "numpy" if kernels["numpy"] else "stdlib",
-                kernels["nfa_enumeration"]["dictwalk_microseconds_per_word"],
-                kernels["nfa_enumeration"]["kernel_microseconds_per_word"],
-                kernels["nfa_enumeration"]["speedup"],
-                kernels["dfa_enumeration"]["dictwalk_microseconds_per_word"],
-                kernels["dfa_enumeration"]["kernel_microseconds_per_word"],
-                kernels["dfa_enumeration"]["speedup"],
-                kernels["batch_acceptance"]["speedup"],
-            )
+            f"kernels: nfa enumeration {nfa['dictwalk_microseconds_per_word']:.2f} -> "
+            f"{nfa['kernel_microseconds_per_word']:.2f} us/word ({nfa['speedup']:.1f}x)"
         ),
         (
             f"prefix sharing: {sharing['patterns_checked']} patterns — independent "

@@ -2,11 +2,12 @@
 
 One :class:`CompiledAutomaton` bundles everything the solvers repeatedly
 derive from an atom's regular expression — the ε-free Thompson NFA, the
-trimmed minimal DFA, the productive-cycle and emptiness flags and the
-pumped-normal-form word lists — computed lazily, each exactly once, and
-shared process-wide through the :func:`compile_regex` memo (keyed by the
-structural regex, whose hash and canonical token are themselves cached on
-the expression).
+productive-cycle and emptiness flags and the pumped-normal-form word lists —
+computed lazily, each exactly once, and shared process-wide through the
+:func:`compile_regex` memo (keyed by the structural regex alone, whose hash
+and canonical token are themselves cached on the expression).  Nothing in a
+bundle depends on the schema, so one regex compiles once no matter how many
+schemas use it.
 
 Two invariants matter for verdict stability (the engine's fingerprints are
 asserted bit-identical across serial/thread/process backends *and* across
@@ -16,15 +17,11 @@ cached/uncached runs):
   built, never *what* is built, so state numbering (which leaks into the
   rolled-up TBox's fresh concept names) is unchanged;
 * :meth:`CompiledAutomaton.words` returns the NFA's pumped-normal-form
-  enumeration verbatim (same words, same order) — the DFA accelerates
-  language-level queries, it does not redefine the solver's completeness
-  bound.
+  enumeration verbatim (same words, same order).
 
-Pickling a compiled automaton ships only its regex and context
-(:meth:`CompiledAutomaton.__reduce__`); the receiving process re-interns the
-symbols into *its* tables and recompiles through its own memo, so worker
-processes rebuild from interned tables instead of unpickling transition
-maps.
+Pickling a compiled automaton ships only its regex
+(:meth:`CompiledAutomaton.__reduce__`); the receiving process recompiles
+through its own memo.
 """
 
 from __future__ import annotations
@@ -34,18 +31,13 @@ from collections import OrderedDict
 from typing import Dict, Optional, Tuple
 
 from ..rpq.automaton import NFA, build_nfa
-from ..rpq.regex import Regex, Symbol, canonical_token
-from .dfa import DFA, determinize
-from .interning import SymbolTable, symbol_table
-from .kernels import DenseDFA
+from ..rpq.regex import Regex, Symbol
 
 __all__ = [
     "CompiledAutomaton",
     "clear_compile_memo",
     "compile_regex",
     "has_productive_cycle",
-    "install_compiled",
-    "rebase_compiled",
 ]
 
 
@@ -82,58 +74,20 @@ class CompiledAutomaton:
 
     __slots__ = (
         "regex",
-        "context",
-        "table",
         "nfa",
-        "_token",
-        "_dfa",
-        "_min_dfa",
         "_has_cycle",
         "_is_empty",
         "_words",
     )
 
-    def __init__(self, regex: Regex, context: Optional[str] = None) -> None:
+    def __init__(self, regex: Regex) -> None:
         self.regex = regex
-        self.context = context
-        self.table: SymbolTable = symbol_table(context)
         self.nfa: NFA = build_nfa(regex)
-        self._token: Optional[str] = None
-        self._dfa: Optional[DFA] = None
-        self._min_dfa: Optional[DFA] = None
         self._has_cycle: Optional[bool] = None
         self._is_empty: Optional[bool] = None
         self._words: Dict[Tuple[int, int, int], Tuple[Tuple[Symbol, ...], ...]] = {}
 
     # ------------------------------------------------------------------ #
-    @property
-    def fingerprint(self) -> str:
-        """The regex's canonical token — the memo/cache key material."""
-        if self._token is None:
-            self._token = canonical_token(self.regex)
-        return self._token
-
-    def dfa(self) -> DFA:
-        """The subset-construction DFA (unminimised, reachable part only)."""
-        if self._dfa is None:
-            self._dfa = determinize(self.nfa, self.table)
-        return self._dfa
-
-    def minimal_dfa(self) -> DFA:
-        """The trimmed minimal DFA — the canonical form of the language."""
-        if self._min_dfa is None:
-            self._min_dfa = self.dfa().minimize()
-        return self._min_dfa
-
-    def dense_minimal_dfa(self) -> "DenseDFA":
-        """The minimal DFA's flat-array kernel form (memoized on the DFA).
-
-        This is what the transport ships as a context seed and what the
-        batch/emptiness kernels run on; it is derived from (and cached with)
-        :meth:`minimal_dfa`, so it costs nothing extra after the first call.
-        """
-        return self.minimal_dfa().dense()
-
     def has_productive_cycle(self) -> bool:
         """Cached :func:`has_productive_cycle` of the NFA (infinite language?)."""
         if self._has_cycle is None:
@@ -145,10 +99,6 @@ class CompiledAutomaton:
         if self._is_empty is None:
             self._is_empty = self.nfa.is_empty_language()
         return self._is_empty
-
-    def shortest_witness(self) -> Optional[Tuple[Symbol, ...]]:
-        """A shortest accepted word via DFA BFS (``None`` for the empty language)."""
-        return self.minimal_dfa().shortest_witness()
 
     def words(
         self, max_length: int, max_state_repeats: int, max_words: int
@@ -175,9 +125,9 @@ class CompiledAutomaton:
 
     # ------------------------------------------------------------------ #
     def __reduce__(self):
-        # rebuild from the regex in the receiving process: symbols re-intern
-        # into that process's tables and the compile memo deduplicates
-        return (compile_regex, (self.regex, self.context))
+        # rebuild from the regex in the receiving process; its compile memo
+        # deduplicates
+        return (compile_regex, (self.regex,))
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"CompiledAutomaton({self.regex!s}, states={self.nfa.state_count()})"
@@ -189,80 +139,29 @@ class CompiledAutomaton:
 _MEMO_LIMIT = 4096
 
 _memo_lock = threading.Lock()
-_memo: "OrderedDict[Tuple[Optional[str], Regex], CompiledAutomaton]" = OrderedDict()
+_memo: "OrderedDict[Regex, CompiledAutomaton]" = OrderedDict()
 
 
-def compile_regex(regex: Regex, context: Optional[str] = None) -> CompiledAutomaton:
+def compile_regex(regex: Regex) -> CompiledAutomaton:
     """The shared :class:`CompiledAutomaton` for *regex* (bounded LRU memo).
 
-    *context* selects the symbol table (callers pass a schema fingerprint so
-    one schema's automata intern into one table); the memo key includes it,
-    so the same regex compiled under two schemas yields two entries — each
-    pinned to its table — while lookups by structural equality make
-    separately-constructed equal regexes share one compilation.
+    Lookups go by structural equality, so separately-constructed equal
+    regexes share one compilation.
     """
-    key = (context, regex)
     with _memo_lock:
-        cached = _memo.get(key)
+        cached = _memo.get(regex)
         if cached is not None:
-            _memo.move_to_end(key)
+            _memo.move_to_end(regex)
             return cached
-    compiled = CompiledAutomaton(regex, context)
+    compiled = CompiledAutomaton(regex)
     with _memo_lock:
-        existing = _memo.get(key)
+        existing = _memo.get(regex)
         if existing is not None:
             return existing
-        _memo[key] = compiled
+        _memo[regex] = compiled
         while len(_memo) > _MEMO_LIMIT:
             _memo.popitem(last=False)
     return compiled
-
-
-def rebase_compiled(bundle: CompiledAutomaton, context: Optional[str]) -> CompiledAutomaton:
-    """A clone of *bundle* under a new intern context, sharing every artefact.
-
-    The schema-evolution path uses this to migrate automata between
-    fingerprint namespaces: the NFA, DFAs, flags and pumped word lists are
-    schema-content-independent (they derive from the regex alone), so the
-    clone references them directly — only the context string changes.  The
-    caller must have arranged (via :func:`repro.core.interning.adopt_context`)
-    that the new context resolves to the *same* :class:`SymbolTable` object;
-    the clone pins ``bundle.table`` verbatim either way, so cross-automaton
-    DFA operations keep comparing ids from one table.
-    """
-    clone = CompiledAutomaton.__new__(CompiledAutomaton)
-    clone.regex = bundle.regex
-    clone.context = context
-    clone.table = bundle.table
-    clone.nfa = bundle.nfa
-    clone._token = bundle._token
-    clone._dfa = bundle._dfa
-    clone._min_dfa = bundle._min_dfa
-    clone._has_cycle = bundle._has_cycle
-    clone._is_empty = bundle._is_empty
-    # an independent dict: later enumerations under one context must not
-    # publish into the other bundle (the tuples themselves are shared)
-    clone._words = dict(bundle._words)
-    return clone
-
-
-def install_compiled(bundle: CompiledAutomaton) -> CompiledAutomaton:
-    """Insert *bundle* into the process-wide memo; returns the canonical entry.
-
-    If the memo already holds a compilation for ``(bundle.context,
-    bundle.regex)`` that one wins (first-writer semantics, exactly like
-    :func:`compile_regex`'s double-checked insert) and is returned instead.
-    """
-    key = (bundle.context, bundle.regex)
-    with _memo_lock:
-        existing = _memo.get(key)
-        if existing is not None:
-            _memo.move_to_end(key)
-            return existing
-        _memo[key] = bundle
-        while len(_memo) > _MEMO_LIMIT:
-            _memo.popitem(last=False)
-    return bundle
 
 
 def clear_compile_memo() -> int:

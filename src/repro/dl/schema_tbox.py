@@ -21,7 +21,7 @@ is the workhorse of schema elicitation (Lemma B.5).
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Iterable, Optional, Set, Tuple
+from typing import Iterable, Set, Tuple
 
 from ..exceptions import TBoxError
 from ..graph.labels import SignedLabel, signed_closure
@@ -140,8 +140,3 @@ def schema_from_l0(
                 # reading is "unconstrained", so every triple is set explicitly
                 schema.set(source, signed, target, multiplicity)
     return schema
-
-
-def optional_schema_name(schema: Optional[Schema]) -> str:
-    """Small helper used by diagnostics."""
-    return schema.name if schema is not None else "<none>"

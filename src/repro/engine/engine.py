@@ -23,11 +23,11 @@ composition and invalidation rules):
   chase engines (whose tree-extendability memos stay warm) per
   ``(extended schema, right query, completion config)``;
 * **schema-tboxes** — the Horn encoding ``T̂_S`` per extended schema;
-* **automata** — :class:`repro.core.CompiledAutomaton` bundles (NFA, lazy
-  minimal DFA, cycle/emptiness flags, memoized pumped word lists) keyed by
-  ``(schema intern context, regex)``.  This cache *fronts* the process-wide
-  :func:`repro.core.compile_regex` memo (which shares bundles across engines
-  and rebuilds them in worker processes): its hit/miss stats measure
+* **automata** — :class:`repro.core.CompiledAutomaton` bundles (NFA,
+  cycle/emptiness flags, memoized pumped word lists) keyed by
+  ``(schema fingerprint, regex)``.  This cache *fronts* the process-wide
+  :func:`repro.core.compile_regex` memo (keyed by the regex alone, so it
+  shares one bundle across schemas and engines): its hit/miss stats measure
   engine-level reuse, while the memory bound for compiled bundles is the
   memo's — ``repro.core.clear_compile_memo()`` is the cold-path reset.
 
@@ -49,12 +49,12 @@ docs/ARCHITECTURE.md, "The two-tier cache hierarchy").
 
 Schema edits are first-class: :meth:`ContainmentEngine.evolve` diffs two
 schemas (:class:`~repro.engine.delta.SchemaDelta`), migrates the
-schema-content-independent artefacts — compiled automata, symbol tables,
-schema-blind verdicts — into the new fingerprint namespace across both
-cache tiers and any live worker pool, and conservatively invalidates the
-rest; :meth:`ContainmentEngine.invalidate_schema` reports its per-tier
-counts as a structured :class:`~repro.engine.delta.InvalidationReport`
-(see docs/ARCHITECTURE.md, "Schema evolution").
+schema-content-independent artefacts — compiled automata and schema-blind
+verdicts — into the new fingerprint namespace across both cache tiers, and
+conservatively invalidates the rest;
+:meth:`ContainmentEngine.invalidate_schema` reports its per-tier counts as
+a structured :class:`~repro.engine.delta.InvalidationReport` (see
+docs/ARCHITECTURE.md, "Schema evolution").
 """
 
 from __future__ import annotations
@@ -75,8 +75,6 @@ from ..containment.solver import (
     ContainmentSolver,
     _as_union,
 )
-from ..core.compile import install_compiled, rebase_compiled
-from ..core.interning import adopt_context
 from ..rpq.queries import UC2RPQ
 from ..schema.schema import Schema
 from ..store import ResultStore, StoreStats
@@ -203,6 +201,7 @@ class _CachingSolver(ContainmentSolver):
     ) -> None:
         super().__init__(schema, config or engine.default_config)
         self.engine = engine
+        self._schema_fingerprint: Optional[str] = None
 
     # -- cached full results ------------------------------------------------
     def contains(self, left, right) -> ContainmentResult:
@@ -294,12 +293,12 @@ class _CachingSolver(ContainmentSolver):
 
     def _compile_automaton(self, regex):
         engine = self.engine
-        # key by (intern context, regex) like the core memo: a bundle is
-        # pinned to its schema's symbol table, so one engine serving several
-        # schemas must not hand schema A's bundle to schema B's solver
-        if self._intern_context is None:
-            self._intern_context = self.schema.canonical_fingerprint()
-        key = (self._intern_context, regex)
+        # keyed by (schema fingerprint, regex) so invalidate_schema and
+        # evolve can find a schema's entries; the bundle itself is the
+        # schema-independent one from the compile memo
+        if self._schema_fingerprint is None:
+            self._schema_fingerprint = self.schema.canonical_fingerprint()
+        key = (self._schema_fingerprint, regex)
         with engine._lock:
             cached = engine._automata.get(key)
         if cached is None:
@@ -601,21 +600,14 @@ class ContainmentEngine:
             (_as_union(left, "P"), _as_union(right, "Q"), task_schema, task_config)
             for left, right, task_schema, task_config in normalized
         ]
-        unique_schemas: Dict[str, Schema] = {}
-        for _, _, task_schema, _ in tasks:
-            fingerprint = task_schema.canonical_fingerprint()
-            unique_schemas.setdefault(fingerprint, task_schema)
         if self._store is not None:
             # persist the batch's schemas (content-addressed, skip-if-present)
             # so workers can resolve the transport layer's schema references
             # from the shared read-only store even across pool restarts
+            unique_schemas: Dict[str, Schema] = {}
+            for _, _, task_schema, _ in tasks:
+                unique_schemas.setdefault(task_schema.canonical_fingerprint(), task_schema)
             self._store.put_many("schemas", list(unique_schemas.items()))
-        with self._lock:
-            bundles = [bundle for _key, bundle in self._automata.items()]
-        # hand any warm automata for these schemas to the workers (symbol
-        # tables + computed DFAs via shared memory); a cold parent ships
-        # nothing and the workers compile locally, bit-identically
-        pool.seed(bundles, set(unique_schemas))
         results = pool.check_many(tasks)
         keys = [
             _result_key(task_schema, left, right, task_config or self.default_config)
@@ -790,8 +782,7 @@ class ContainmentEngine:
         addressing means they can never be replayed incorrectly).
 
         Returns an :class:`~repro.engine.delta.InvalidationReport` with the
-        per-tier counts; ``int(report)`` still yields the dropped-result
-        count (the former return value) with a :class:`DeprecationWarning`.
+        per-tier counts.
         """
         return self._invalidate_fingerprint(schema.canonical_fingerprint())
 
@@ -830,15 +821,13 @@ class ContainmentEngine:
         The delta-aware counterpart of :meth:`invalidate_schema` for the
         "one constraint changed, re-check everything" scenario: artefacts
         whose content is independent of the schema's axioms — compiled
-        automaton bundles (NFAs, DFAs, pumped word enumerations), the
-        schema-fingerprint :class:`~repro.core.interning.SymbolTable`, and
-        verdicts that never consulted the schema (the empty-left short
-        circuit) — are re-keyed into *new_schema*'s fingerprint namespace,
-        written through to the persistent store, and re-broadcast to live
-        workers as context seeds.  Everything else under the old namespace
-        is dropped (conservative rule: the Horn encoding ``T̂_S`` spans the
-        schema's full domain, so any semantic edit invalidates every
-        completed TBox and with it every non-trivial verdict — when in
+        automaton bundles (NFAs, pumped word enumerations) and verdicts that
+        never consulted the schema (the empty-left short circuit) — are
+        re-keyed into *new_schema*'s fingerprint namespace and written
+        through to the persistent store.  Everything else under the old
+        namespace is dropped (conservative rule: the Horn encoding ``T̂_S``
+        spans the schema's full domain, so any semantic edit invalidates
+        every completed TBox and with it every non-trivial verdict — when in
         doubt, invalidate), which is exactly what keeps post-evolve verdicts
         and ``result_fingerprint``s bit-identical to a cold start.
 
@@ -888,23 +877,13 @@ class ContainmentEngine:
                 if key[0] == old_fingerprint
             ]
 
-        # automata and their symbol table: schema axioms never enter them,
-        # so they migrate verbatim — provided both fingerprints resolve to
-        # one table *object* (DFA cross-operations compare interned ids)
+        # automata: schema axioms never enter them, so the same bundles are
+        # re-keyed into the new namespace
         migrated = {tier: 0 for tier in REPORT_TIERS}
-        seed_bundles = []
-        table = adopt_context(old_fingerprint, new_fingerprint)
-        if table is not None:
+        with self._lock:
             for regex, bundle in old_bundles:
-                if bundle.table is not table:
-                    # pinned to a table since evicted from the registry;
-                    # recompiling is the only safe option
-                    continue
-                clone = install_compiled(rebase_compiled(bundle, new_fingerprint))
-                seed_bundles.append(clone)
-                with self._lock:
-                    self._automata.put((new_fingerprint, regex), clone)
-                migrated["automata"] += 1
+                self._automata.put((new_fingerprint, regex), bundle)
+        migrated["automata"] = len(old_bundles)
 
         # verdicts that never consulted the schema: the empty-left short
         # circuit (no TBox, no patterns, no witness — replay refreshes the
@@ -941,17 +920,6 @@ class ContainmentEngine:
             "automata": max(invalidation.automata - migrated["automata"], 0),
         }
 
-        # refresh live workers: the new fingerprint has never been seeded,
-        # so the migrated bundles (tables + computed DFAs) ship in full
-        seeded = 0
-        with self._lock:
-            pool = self._process_pool
-        if pool is not None and pool.started and not pool.closed and seed_bundles:
-            try:
-                seeded = pool.seed(seed_bundles, {new_fingerprint})
-            except Exception:
-                seeded = 0  # best effort — the next process batch reseeds
-
         return EvolveReport(
             delta=delta,
             trivial=False,
@@ -959,7 +927,6 @@ class ContainmentEngine:
             invalidated=invalidated,
             migrated=migrated,
             invalidation=invalidation,
-            seeded_contexts=seeded,
             store_written=store_written,
             store_deleted=invalidation.store_rows,
             elapsed_seconds=time.perf_counter() - started,

@@ -21,14 +21,6 @@ class SchemaError(ReproError):
     """Raised when a schema definition is malformed."""
 
 
-class ConformanceError(ReproError):
-    """Raised when a graph is required to conform to a schema but does not."""
-
-    def __init__(self, message: str, violations=None):
-        super().__init__(message)
-        self.violations = list(violations or [])
-
-
 class QueryError(ReproError):
     """Raised when a regular path query or C2RPQ is malformed."""
 

@@ -165,13 +165,13 @@ def test_bench_automata_suite_json_report(capsys):
     assert report["context"]["rng_seed"] == 1729
     assert report["compile"]["regexes"] > 0
     assert report["compile"]["speedup"] > 0
-    # corpus-specific expectation (see bench_automaton_compile.py), not an invariant
-    assert report["enumeration"]["minimal_dfa_states"] <= report["enumeration"]["nfa_states"]
-    # kernel rows carry both sides of every comparison (equality is asserted
-    # inside the harness; speed gates live in bench_automaton_compile.py)
-    for row in ("nfa_enumeration", "dfa_enumeration", "batch_acceptance"):
-        assert report["kernels"][row]["words"] > 0
-        assert report["kernels"][row]["speedup"] > 0
+    assert report["enumeration"]["nfa_states"] > 0
+    # the kernel row carries both sides of the comparison (equality is
+    # asserted inside the harness; the speed gate lives in
+    # bench_automaton_compile.py)
+    assert set(report["kernels"]) == {"requests_per_regex", "nfa_enumeration"}
+    assert report["kernels"]["nfa_enumeration"]["words"] > 0
+    assert report["kernels"]["nfa_enumeration"]["speedup"] > 0
     # the pruned run is observationally identical (asserted inside the harness)
     assert report["prefix_sharing"]["satisfiable"] is False
     assert report["prefix_sharing"]["patterns_checked"] > 0

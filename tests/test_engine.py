@@ -22,11 +22,14 @@ from repro.engine import (
     LRUCache,
     default_engine,
     reset_default_engine,
+    result_fingerprint,
 )
 from repro.rpq import C2RPQ, UC2RPQ, Atom, parse_c2rpq
 from repro.rpq.regex import concat, edge, node, star, union
 from repro.schema import Schema
 from repro.workloads import fhir, medical, synthetic
+from repro.workloads.batches import containment_batch
+from repro.workloads.zoo import single_axiom_edit
 
 
 def verdict(result):
@@ -269,8 +272,6 @@ def test_clear_and_invalidate_schema():
     report = engine.invalidate_schema(schema)
     assert report.results == 1
     assert report.schema_fingerprint == schema.canonical_fingerprint()
-    with pytest.warns(DeprecationWarning, match="InvalidationReport"):
-        assert int(report) == 1  # legacy bare-int view of the report
     assert engine.cache_sizes()["results"] == 1
     engine.clear()
     assert all(count == 0 for count in engine.cache_sizes().values())
@@ -437,18 +438,42 @@ def test_tbox_fingerprint_ignores_statement_order():
 
 
 def test_automata_cache_is_keyed_by_schema_context():
-    """One engine serving two schemas must not share pinned symbol tables."""
+    """The engine's automata cache keeps one entry per (schema, regex), so
+    invalidating one schema leaves the other's entry in place."""
     engine = ContainmentEngine()
     schema_a = medical.source_schema()
     schema_b = medical.target_schema()
     regex = parse_c2rpq("p(x) := (a*)(x, y)").atoms[0].regex
     bundle_a = engine.solver(schema_a)._compile_automaton(regex)
     bundle_b = engine.solver(schema_b)._compile_automaton(regex)
-    assert bundle_a.context == schema_a.canonical_fingerprint()
-    assert bundle_b.context == schema_b.canonical_fingerprint()
-    assert bundle_a is not bundle_b
-    # but within one schema the bundle is shared (cache hit)
+    assert engine.cache_sizes()["automata"] == 2
+    # within one schema the bundle is served from the cache
+    misses = engine.stats.automata.misses
     assert engine.solver(schema_a)._compile_automaton(regex) is bundle_a
+    assert engine.stats.automata.misses == misses
+    assert engine.invalidate_schema(schema_a).automata == 1
+    assert engine.cache_sizes()["automata"] == 1
+    assert engine.solver(schema_b)._compile_automaton(regex) is bundle_b
+
+
+def test_one_regex_compiles_once_across_schema_fingerprints():
+    """The compile memo is keyed by the regex alone: two schemas with
+    different fingerprints share one bundle, and verdicts do not move."""
+    schema, pairs = containment_batch("medical")
+    edited = single_axiom_edit(schema)
+    assert schema.canonical_fingerprint() != edited.canonical_fingerprint()
+    regex = parse_c2rpq("p(x) := (designTarget . crossReacting*)(x, y)").atoms[0].regex
+    bundle = ContainmentSolver(schema)._compile_automaton(regex)
+    assert ContainmentSolver(edited)._compile_automaton(regex) is bundle
+    engine = ContainmentEngine()
+    assert engine.solver(schema)._compile_automaton(regex) is bundle
+    assert engine.solver(edited)._compile_automaton(regex) is bundle
+    for current in (schema, edited):
+        served = engine.check_many(pairs, schema=current)
+        fresh = [ContainmentSolver(current).contains(left, right) for left, right in pairs]
+        assert [result_fingerprint(result) for result in served] == [
+            result_fingerprint(result) for result in fresh
+        ]
 
 
 def test_compile_automaton_override_substitutes_bundles():
@@ -459,9 +484,7 @@ def test_compile_automaton_override_substitutes_bundles():
 
     class CountingSolver(ContainmentSolver):
         def _compile_automaton(self, regex):
-            if self._intern_context is None:
-                self._intern_context = self.schema.canonical_fingerprint()
-            bundle = compile_regex(regex, self._intern_context)
+            bundle = compile_regex(regex)
             compiled.append(bundle)
             return bundle
 
