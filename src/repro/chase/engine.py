@@ -30,7 +30,7 @@ within a finite lattice and merges only decrease the number of nodes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional, Tuple, Union
 
 from ..dl.tbox import TBox
 from ..exceptions import SolverError
@@ -57,12 +57,17 @@ class ChaseResult:
 
 
 class ChaseEngine:
-    """Chases finite patterns modulo a fixed Horn-ALCIF TBox."""
+    """Chases finite patterns modulo a fixed Horn-ALCIF TBox.
 
-    def __init__(self, tbox: TBox, max_rounds: int = 100_000) -> None:
-        if not tbox.is_horn():
+    The TBox is given either as is (and indexed here) or as a ready
+    :class:`TBoxIndex`, such as an overlay of an index that is already built.
+    """
+
+    def __init__(self, tbox: Union[TBox, TBoxIndex], max_rounds: int = 100_000) -> None:
+        index = tbox if isinstance(tbox, TBoxIndex) else TBoxIndex(tbox)
+        if not index.horn:
             raise SolverError("the chase engine only accepts Horn TBoxes")
-        self.index = TBoxIndex(tbox)
+        self.index = index
         self.tree = TreeChecker(self.index)
         self.max_rounds = max_rounds
 

@@ -4,15 +4,19 @@ Because the TBoxes produced by the paper's reductions are Horn, the set of
 concept names that a node must carry is obtained by *closing* a seed set
 under the statements ``K ⊑ A``.  This module provides that closure, the
 ⊥-check and an index over a TBox that the chase engine and the
-tree-extendability check share.
+tree-extendability check share, plus cheap *overlays* of that index for
+TBoxes that extend it by a few ⊥- and ∀-statements (the fresh-marker axioms
+of the Corollary E.7 entailment checks).
 """
 
 from __future__ import annotations
 
+import copy
 from typing import Dict, Iterable, List, Optional
 
 from ..dl.concepts import (
     AtMostOneCI,
+    ConceptInclusion,
     ConceptNames,
     ExistsCI,
     ForAllCI,
@@ -21,6 +25,7 @@ from ..dl.concepts import (
     SubclassOfBottom,
 )
 from ..dl.tbox import TBox
+from ..exceptions import TBoxError
 from ..graph.labels import SignedLabel
 
 __all__ = ["TBoxIndex"]
@@ -36,6 +41,7 @@ class TBoxIndex:
 
     def __init__(self, tbox: TBox) -> None:
         self.tbox = tbox
+        self.horn = tbox.is_horn()
         self.subclass: List[SubclassOf] = list(tbox.subclass_statements())
         self.bottoms: List[SubclassOfBottom] = list(tbox.bottom_statements())
         self.forall: List[ForAllCI] = list(tbox.forall_statements())
@@ -56,6 +62,37 @@ class TBoxIndex:
         self.exists_by_role: Dict[SignedLabel, List[ExistsCI]] = {}
         for statement in self.exists:
             self.exists_by_role.setdefault(statement.role, []).append(statement)
+
+    def overlay(self, statements: Iterable[ConceptInclusion]) -> "TBoxIndex":
+        """An index of ``T ∪ statements`` that does not re-index ``T``.
+
+        The overlay shares this index's statement lists, by-role groups and
+        closure cache; it copies only the ⊥ list, the ∀ list and the ∀ group
+        of each role an added ∀-statement guards, so this index is left
+        unchanged.  Only ⊥- and ∀-statements may be added: neither kind
+        takes part in closing a label set under ``K ⊑ A``, so every closure
+        is the same modulo ``T`` and modulo the overlay, which is what makes
+        sharing the cache sound.  Any other kind raises :class:`TBoxError`.
+        ``overlay.tbox`` is still ``T``.
+        """
+        view = copy.copy(self)
+        view.bottoms = list(self.bottoms)
+        view.forall = list(self.forall)
+        view.forall_by_role = dict(self.forall_by_role)
+        for statement in statements:
+            if isinstance(statement, SubclassOfBottom):
+                view.bottoms.append(statement)
+            elif isinstance(statement, ForAllCI):
+                view.forall.append(statement)
+                view.forall_by_role[statement.role] = [
+                    *view.forall_by_role.get(statement.role, ()),
+                    statement,
+                ]
+            else:
+                raise TBoxError(
+                    f"an index overlay holds only ⊥- and ∀-statements, not {statement}"
+                )
+        return view
 
     # ------------------------------------------------------------------ #
     def close(self, labels: Iterable[str]) -> ConceptNames:

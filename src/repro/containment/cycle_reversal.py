@@ -82,8 +82,9 @@ def schema_has_finmod_cycle(schema: Schema) -> bool:
     the TBox itself.
     """
     adjacency: Dict[str, Set[str]] = {label: set() for label in schema.node_labels}
+    roles = list(signed_closure(sorted(schema.edge_labels)))
     for source in schema.node_labels:
-        for signed in signed_closure(sorted(schema.edge_labels)):
+        for signed in roles:
             for target in schema.node_labels:
                 forward_mult = schema.multiplicity(source, signed, target)
                 backward_mult = schema.multiplicity(target, signed.inverse(), source)
@@ -184,10 +185,13 @@ def complete(
                 if not any(statement.body <= body for statement in index.exists_by_role.get(role, ())):
                     continue
                 for head in candidates:
-                    result.entailment_checks += 2
-                    if not entails_exists(work, body, role, head):
+                    # looked up in the module globals at call time, so the
+                    # checks can be wrapped (timed, counted) from outside
+                    result.entailment_checks += 1
+                    if not entails_exists(index, body, role, head):
                         continue
-                    if not entails_at_most(work, head, role.inverse(), body):
+                    result.entailment_checks += 1
+                    if not entails_at_most(index, head, role.inverse(), body):
                         continue
                     edges.setdefault((body, role), []).append(head)
                     edge_list.append((body, role, head))
@@ -298,8 +302,5 @@ def simplify_s_driven(tbox: TBox, schema: Schema) -> TBox:
             for head_label in head_labels
         ):
             removable.append(statement)
-    if removable:
-        keep = [s for s in tbox.statements() if s not in set(removable)]
-        tbox._statements = list(keep)  # noqa: SLF001 - internal, documented simplification
-        tbox._seen = set(keep)
+    tbox.discard_all(removable)
     return tbox

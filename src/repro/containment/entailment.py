@@ -6,22 +6,29 @@ tiny C2RPQs modulo a slightly extended TBox.  Because those queries are
 star-free, their witness patterns are unique and the chase decides the
 resulting satisfiability questions exactly; entailment checking is therefore
 exact in this implementation.
+
+The two checks take the :class:`~repro.chase.labelsets.TBoxIndex` of ``T``
+rather than ``T`` itself: the completion asks thousands of them per round
+against one unchanging TBox, so ``T`` is indexed once and each check chases
+over an overlay of that index that adds only its fresh-marker axioms.
 """
 
 from __future__ import annotations
 
 from typing import Iterable
 
+from ..chase.engine import ChaseEngine
+from ..chase.labelsets import TBoxIndex
 from ..dl.concepts import ForAllCI, SubclassOfBottom, conj
 from ..dl.tbox import TBox
 from ..graph.graph import Graph
 from ..graph.labels import SignedLabel
-from ..chase.engine import ChaseEngine
 
 __all__ = ["entails_exists", "entails_at_most", "label_set_satisfiable", "triple_satisfiable"]
 
 _FRESH_B = "__entail_B"
 _FRESH_B_PRIME = "__entail_B2"
+_MARKERS_DISJOINT = SubclassOfBottom(conj(_FRESH_B, _FRESH_B_PRIME))
 
 
 def label_set_satisfiable(tbox: TBox, labels: Iterable[str]) -> bool:
@@ -48,9 +55,9 @@ def triple_satisfiable(
 
 
 def entails_exists(
-    tbox: TBox, body: Iterable[str], role: SignedLabel, head: Iterable[str]
+    index: TBoxIndex, body: Iterable[str], role: SignedLabel, head: Iterable[str]
 ) -> bool:
-    """``T ⊨ K ⊑ ∃R.K'`` via the Corollary E.7 reduction.
+    """``T ⊨ K ⊑ ∃R.K'`` via the Corollary E.7 reduction, for *index* over ``T``.
 
     The entailment holds iff a single node satisfying ``K`` and additionally
     marked with a fresh name ``B`` is unsatisfiable modulo
@@ -58,19 +65,18 @@ def entails_exists(
     """
     body = frozenset(body)
     head = frozenset(head)
-    extended = tbox.copy(name=f"{tbox.name}+entail∃")
-    extended.add(ForAllCI(head, role.inverse(), conj(_FRESH_B_PRIME)))
-    extended.add(SubclassOfBottom(conj(_FRESH_B, _FRESH_B_PRIME)))
+    overlay = index.overlay(
+        (ForAllCI(head, role.inverse(), conj(_FRESH_B_PRIME)), _MARKERS_DISJOINT)
+    )
     pattern = Graph()
     pattern.add_node("u", body | {_FRESH_B})
-    engine = ChaseEngine(extended)
-    return not engine.check_pattern(pattern).consistent
+    return not ChaseEngine(overlay).check_pattern(pattern).consistent
 
 
 def entails_at_most(
-    tbox: TBox, body: Iterable[str], role: SignedLabel, head: Iterable[str]
+    index: TBoxIndex, body: Iterable[str], role: SignedLabel, head: Iterable[str]
 ) -> bool:
-    """``T ⊨ K ⊑ ∃≤1R.K'`` via the Corollary E.7 reduction.
+    """``T ⊨ K ⊑ ∃≤1R.K'`` via the Corollary E.7 reduction, for *index* over ``T``.
 
     The entailment holds iff the pattern consisting of a ``K``-node with two
     distinct ``R``-successors, both satisfying ``K'`` and marked with fresh
@@ -80,8 +86,6 @@ def entails_at_most(
     """
     body = frozenset(body)
     head = frozenset(head)
-    extended = tbox.copy(name=f"{tbox.name}+entail≤1")
-    extended.add(SubclassOfBottom(conj(_FRESH_B, _FRESH_B_PRIME)))
     pattern = Graph()
     pattern.add_node("u", body)
     pattern.add_node("v1", head | {_FRESH_B})
@@ -92,5 +96,5 @@ def entails_at_most(
     else:
         pattern.add_edge("u", role.label, "v1")
         pattern.add_edge("u", role.label, "v2")
-    engine = ChaseEngine(extended)
-    return not engine.check_pattern(pattern).consistent
+    overlay = index.overlay((_MARKERS_DISJOINT,))
+    return not ChaseEngine(overlay).check_pattern(pattern).consistent

@@ -98,6 +98,15 @@ class TBox:
         """Add several statements; returns the number of new ones."""
         return sum(1 for statement in statements if self.add(statement))
 
+    def discard_all(self, statements: Iterable[ConceptInclusion]) -> int:
+        """Remove the given statements (absent ones are ignored); returns the
+        number removed.  The remaining statements keep their order."""
+        doomed = self._seen.intersection(statements)
+        if doomed:
+            self._statements = [s for s in self._statements if s not in doomed]
+            self._seen -= doomed
+        return len(doomed)
+
     def union(self, other: "TBox", name: Optional[str] = None) -> "TBox":
         """Union of two TBoxes."""
         result = TBox(self._statements, name=name or f"{self.name}∪{other.name}")

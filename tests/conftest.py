@@ -10,6 +10,10 @@ from repro.workloads import medical, fhir, social
 # examples (pinned @example cases still run first)
 settings.register_profile("deterministic", derandomize=True)
 settings.load_profile("deterministic")
+# fresh random examples on every run, for exploration outside tier-1; select
+# it with ``--hypothesis-profile=randomized`` (a failure prints the blob that
+# reproduces it)
+settings.register_profile("randomized", derandomize=False, print_blob=True)
 
 
 @pytest.fixture(scope="session")

@@ -6,6 +6,7 @@ import pytest
 from repro.chase import ChaseEngine, TBoxIndex, TreeChecker
 from repro.dl import (
     AtMostOneCI,
+    DisjunctionCI,
     ExistsCI,
     ForAllCI,
     NoExistsCI,
@@ -15,7 +16,7 @@ from repro.dl import (
     conj,
     schema_to_extended_tbox,
 )
-from repro.exceptions import SolverError
+from repro.exceptions import SolverError, TBoxError
 from repro.graph import GraphBuilder, forward, inverse
 from repro.workloads import medical
 
@@ -60,6 +61,63 @@ class TestTBoxIndex:
     def test_statistics(self, medical_tbox):
         stats = TBoxIndex(medical_tbox).statistics()
         assert stats["exists"] > 0 and stats["no_exists"] > 0 and stats["bottom"] > 0
+
+
+class TestIndexOverlay:
+    def _tbox(self):
+        return TBox(
+            [
+                ExistsCI(conj("A"), forward("r"), conj("B")),
+                ForAllCI(conj("A"), forward("r"), conj("C")),
+                SubclassOf(conj("B"), "D"),
+                SubclassOfBottom(conj("C", "E")),
+            ]
+        )
+
+    def test_overlay_answers_like_the_extended_tbox(self):
+        extra = [ForAllCI(conj("B"), inverse("r"), conj("E")), SubclassOfBottom(conj("D", "E"))]
+        overlay = TBoxIndex(self._tbox()).overlay(extra)
+        fresh = TBoxIndex(TBox([*self._tbox(), *extra]))
+        for role in (forward("r"), inverse("r")):
+            assert overlay.forall_targets(conj("A", "B"), role) == fresh.forall_targets(
+                conj("A", "B"), role
+            )
+        assert overlay.forall_by_role == fresh.forall_by_role
+        assert overlay.bottoms == fresh.bottoms and overlay.forall == fresh.forall
+        assert overlay.statistics() == fresh.statistics()
+        pattern = GraphBuilder().node("x", "A").build()
+        assert ChaseEngine(overlay).check_pattern(pattern).consistent == ChaseEngine(
+            fresh.tbox
+        ).check_pattern(pattern).consistent
+
+    def test_base_index_unchanged_by_overlays(self):
+        base = TBoxIndex(self._tbox())
+        forall_by_role = {role: list(group) for role, group in base.forall_by_role.items()}
+        bottoms, forall = list(base.bottoms), list(base.forall)
+        for role in (forward("r"), inverse("r"), forward("s")):
+            overlay = base.overlay([ForAllCI(conj("B"), role, conj("X")), SubclassOfBottom(conj("X", "Y"))])
+            ChaseEngine(overlay).check_pattern(GraphBuilder().node("x", "A", "X").build())
+        assert base.forall_by_role == forall_by_role
+        assert base.bottoms == bottoms and base.forall == forall
+        assert not base.violates_bottom(frozenset({"X", "Y"}))
+
+    def test_overlay_shares_the_closure_cache(self):
+        base = TBoxIndex(self._tbox())
+        overlay = base.overlay([SubclassOfBottom(conj("X", "Y"))])
+        assert overlay.close({"B"}) == {"B", "D"}
+        assert frozenset({"B"}) in base._closure_cache
+
+    @pytest.mark.parametrize(
+        "statement",
+        [
+            SubclassOf(conj("A"), "Z"),
+            ExistsCI(conj("A"), forward("r"), conj("Z")),
+            DisjunctionCI(conj("A"), ("Y", "Z")),
+        ],
+    )
+    def test_overlay_rejects_other_kinds(self, statement):
+        with pytest.raises(TBoxError):
+            TBoxIndex(self._tbox()).overlay([statement])
 
 
 class TestTreeChecker:

@@ -97,6 +97,14 @@ class TestTBox:
         assert len(union) == 2
         assert len(left.copy()) == 1
 
+    def test_discard_all_keeps_order_and_ignores_absent(self):
+        statements = [SubclassOf(conj(name), "Z") for name in "ABCD"]
+        tbox = TBox(statements)
+        absent = SubclassOfBottom(conj("X"))
+        assert tbox.discard_all([statements[1], statements[3], absent]) == 2
+        assert tbox.statements() == (statements[0], statements[2])
+        assert statements[1] not in tbox and tbox.add(statements[1])
+
     def test_concept_and_role_names(self):
         tbox = TBox([ForAllCI(conj("A"), forward("r"), conj("B"))])
         assert tbox.concept_names() == {"A", "B"}
