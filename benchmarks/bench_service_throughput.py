@@ -5,12 +5,13 @@ the textbook load-generator shape) replay the deterministic mixed-schema
 request stream of :func:`repro.workloads.streams.request_stream` through
 two freshly started services:
 
-* **per-request** — coalescing disabled (zero window, batch size 1),
-  serial backend: every request is one engine call, the shape a single-shot
-  caller pays today;
-* **coalesced** — a real window and the process backend: concurrent client
-  requests micro-batch into ``check_many`` waves, deduplicate by canonical
-  fingerprint, and spread across the worker pool.
+* **per-request** — coalescing disabled (batch size 1), serial backend:
+  every request is one engine call, the shape a single-shot caller pays
+  today;
+* **coalesced** — the self-clocking coalescer and the process backend:
+  client requests that queue while a wave runs micro-batch into the next
+  ``check_many`` wave, deduplicate by canonical fingerprint, and spread
+  across the worker pool.
 
 Two claims:
 
@@ -24,8 +25,8 @@ Two claims:
 
 Worker spawn is excluded from the timing (the service starts its pool
 eagerly, before the clock), matching every other backend benchmark; the
-coalescing *window* is deliberately **not** excluded — waiting is part of
-the serving design being measured.
+time a request spends queued behind a running wave is deliberately **not**
+excluded — waiting is part of the serving design being measured.
 """
 
 import os
@@ -44,7 +45,6 @@ GATE_SPEEDUP = 2.0
 REQUESTS = 120
 CLIENTS = 16
 STREAM_LENGTH = 10  # synthetic chain length inside the mixed corpus
-WINDOW_SECONDS = 0.02
 MAX_BATCH = 64
 
 
@@ -59,19 +59,17 @@ def _serial_baseline():
     return [result_fingerprint(result) for result in results]
 
 
-def _run_service(window, max_batch, parallel, workers):
+def _run_service(max_batch, parallel, workers):
     """One closed-loop run; returns (fingerprints, elapsed, stats, percentiles).
 
     Per-request latency is timed around each coalescer call, so the
-    p50/p95/p99 report reflects what one client waits — window included,
+    p50/p95/p99 report reflects what one client waits — queueing included,
     by design — not just the aggregate wall clock.
     """
     stream = _stream()
     clear_compile_memo()
     latencies = [0.0] * len(stream)
-    with ContainmentService(
-        parallel=parallel, workers=workers, coalesce_window=window, max_batch=max_batch
-    ) as service:
+    with ContainmentService(parallel=parallel, workers=workers, max_batch=max_batch) as service:
 
         def call(indexed):
             index, (left, right, schema) = indexed
@@ -91,7 +89,7 @@ def test_coalesced_service_is_deterministic_and_actually_batches():
     """Fingerprint identity + the coalescer visibly merging concurrent load
     (independent of machine size)."""
     baseline = _serial_baseline()
-    fingerprints, _, stats, _ = _run_service(WINDOW_SECONDS, MAX_BATCH, "serial", None)
+    fingerprints, _, stats, _ = _run_service(MAX_BATCH, "serial", None)
     assert fingerprints == baseline, "coalesced service changed verdicts"
     assert stats.submitted == REQUESTS
     # closed-loop concurrency means real batches, not one request at a time
@@ -109,10 +107,10 @@ def test_coalesced_throughput_gate():
     workers = min(cores, 8)
 
     per_request_fps, per_request_seconds, per_request_stats, per_request_latency = _run_service(
-        0.0, 1, "serial", None
+        1, "serial", None
     )
     coalesced_fps, coalesced_seconds, coalesced_stats, coalesced_latency = _run_service(
-        WINDOW_SECONDS, MAX_BATCH, "process", workers
+        MAX_BATCH, "process", workers
     )
 
     assert per_request_fps == baseline, "per-request service changed verdicts"

@@ -30,11 +30,10 @@ Seven subcommands over the library's hot paths:
   (``--port``/``--host``, endpoints ``/contain``, ``/batch``, ``/healthz``,
   ``/stats``) or newline-delimited JSON on stdio (``--stdio``), with
   ``--parallel``/``--workers`` for the batch backend, ``--persist`` for the
-  disk store and ``--coalesce-window``/``--max-batch`` for the
-  micro-batching shape.  ``bench --suite service`` measures it: coalesced
-  versus per-request throughput under closed-loop client threads with
-  p50/p95/p99 latency percentiles per mode, verdict fingerprints asserted
-  identical to a serial baseline;
+  disk store and ``--max-batch`` to cap one coalesced wave.  ``bench
+  --suite service`` measures it: coalesced versus per-request throughput
+  under closed-loop client threads with p50/p95/p99 latency percentiles
+  per mode, verdict fingerprints asserted identical to a serial baseline;
 * ``replay`` — record and replay NDJSON traffic traces
   (:mod:`repro.workloads.replay`): ``replay --record trace.ndjson``
   generates a seeded multi-tenant trace (hot/cold mixes, bursts,
@@ -305,7 +304,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         parallel=args.parallel,
         workers=args.workers,
         persist=args.persist,
-        coalesce_window=args.coalesce_window / 1000.0,
         max_batch=args.max_batch,
     )
     with service:
@@ -328,8 +326,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         # --port 0 and parse this to find the ephemeral port
         print(f"repro service listening on {server.url}", flush=True)
         print(
-            f"  backend={service.backend} window={args.coalesce_window:g}ms "
-            f"max-batch={args.max_batch} persist={args.persist or 'off'}",
+            f"  backend={service.backend} max-batch={args.max_batch} "
+            f"persist={args.persist or 'off'}",
             file=sys.stderr,
         )
         try:
@@ -737,10 +735,10 @@ def _cmd_bench_service(args: argparse.Namespace) -> int:
     request stream (:func:`repro.workloads.streams.request_stream`) through
     two freshly started services:
 
-    1. **per-request** — coalescing disabled (zero window, batch size 1),
-       serial backend: every request is one engine call, the single-shot
+    1. **per-request** — coalescing disabled (batch size 1), serial
+       backend: every request is one engine call, the single-shot
        shape a caller pays today;
-    2. **coalesced** — the coalescing window and the service's default
+    2. **coalesced** — ``--max-batch`` waves and the service's default
        ``auto`` backend: the service micro-batches the concurrent clients
        into ``check_many`` waves, and the adaptive selector fans each wave
        out to the worker pool only when its measured per-item solve cost
@@ -785,16 +783,11 @@ def _cmd_bench_service(args: argparse.Namespace) -> int:
         baseline = engine.check_many([(left, right, schema) for left, right, schema in baseline_stream])
     baseline_fps = [result_fingerprint(result) for result in baseline]
 
-    def run_mode(window_seconds: float, max_batch: int, parallel: str) -> Tuple[List[str], float, Dict[str, Any]]:
+    def run_mode(max_batch: int, parallel: str) -> Tuple[List[str], float, Dict[str, Any]]:
         stream = request_stream(request_count, length=args.length)
         clear_compile_memo()
         latencies = [0.0] * len(stream)
-        with ContainmentService(
-            parallel=parallel,
-            workers=workers,
-            coalesce_window=window_seconds,
-            max_batch=max_batch,
-        ) as service:
+        with ContainmentService(parallel=parallel, workers=workers, max_batch=max_batch) as service:
 
             def call(indexed):
                 index, (left, right, schema) = indexed
@@ -814,10 +807,8 @@ def _cmd_bench_service(args: argparse.Namespace) -> int:
             }
             return [result_fingerprint(result) for result in results], elapsed, block
 
-    per_request_fps, per_request_seconds, per_request_block = run_mode(0.0, 1, "serial")
-    coalesced_fps, coalesced_seconds, coalesced_block = run_mode(
-        args.coalesce_window / 1000.0, args.max_batch, "auto"
-    )
+    per_request_fps, per_request_seconds, per_request_block = run_mode(1, "serial")
+    coalesced_fps, coalesced_seconds, coalesced_block = run_mode(args.max_batch, "auto")
     identical = per_request_fps == baseline_fps and coalesced_fps == baseline_fps
     report = {
         "suite": "service",
@@ -825,7 +816,6 @@ def _cmd_bench_service(args: argparse.Namespace) -> int:
         "requests": request_count,
         "clients": clients,
         "workers": workers,
-        "coalesce_window_ms": args.coalesce_window,
         "max_batch": args.max_batch,
         "per_request": per_request_block,
         "coalesced": coalesced_block,
@@ -893,7 +883,6 @@ def _cmd_replay(args: argparse.Namespace) -> int:
         parallel=args.parallel,
         workers=args.workers,
         persist=args.persist,
-        coalesce_window=args.coalesce_window / 1000.0,
         max_batch=args.max_batch,
     ) as service:
         outcome = replay_trace(service, trace, clients=args.clients, pace=args.pace)
@@ -1162,12 +1151,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="service suite: closed-loop client threads (default: 8)",
     )
     bench.add_argument(
-        "--coalesce-window",
-        type=float,
-        default=5.0,
-        help="service suite: coalescing window in milliseconds (default: 5)",
-    )
-    bench.add_argument(
         "--max-batch",
         type=int,
         default=32,
@@ -1205,12 +1188,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     serve.add_argument("--workers", type=int, default=None, help="worker count for thread/process")
-    serve.add_argument(
-        "--coalesce-window",
-        type=float,
-        default=5.0,
-        help="coalescing window in milliseconds; 0 disables waiting (default: 5)",
-    )
     serve.add_argument(
         "--max-batch", type=int, default=64, help="max coalesced batch size (default: 64)"
     )
@@ -1275,12 +1252,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     replay.add_argument("--workers", type=int, default=None, help="worker count for thread/process")
-    replay.add_argument(
-        "--coalesce-window",
-        type=float,
-        default=5.0,
-        help="replay: coalescing window in milliseconds (default: 5)",
-    )
     replay.add_argument(
         "--max-batch", type=int, default=64, help="replay: max coalesced batch size (default: 64)"
     )

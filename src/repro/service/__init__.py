@@ -9,10 +9,12 @@ a request coalescer and serves independent clients from it (see
 docs/ARCHITECTURE.md, "The serving layer"):
 
 * :class:`RequestCoalescer` / :class:`CoalescerStats` — micro-batches
-  concurrent requests (configurable window + max batch size), deduplicates
-  by the engine's canonical-fingerprint result keys, routes through
-  ``check_many`` on a configurable backend, fans verdicts back out to the
-  waiting futures;
+  concurrent requests with a self-clocking flusher (an idle coalescer
+  sends a request at once; whatever queues while a wave runs becomes the
+  next wave, up to a max batch size), deduplicates by the engine's
+  canonical-fingerprint result keys, drops requests whose waiters
+  cancelled, routes through ``check_many`` on a configurable backend, fans
+  verdicts back out to the waiting futures;
 * :class:`ContainmentService` / :class:`ServiceError` — owns the engine
   (+ optional worker pool and persistent store), parses and caches
   schema/query source text, renders JSON responses with

@@ -9,12 +9,14 @@ spread.  The :class:`RequestCoalescer` recovers the batch shape from
 concurrent traffic:
 
 1. **Collect.**  Submissions land in a queue and return a
-   :class:`~concurrent.futures.Future` immediately; a single flusher thread
-   waits up to ``window`` seconds (from the first queued request) for
-   companions, capping the batch at ``max_batch`` — an oversized backlog is
-   split into consecutive full batches, and a window that closes with one
-   request just flushes that request (micro-batching never *delays past the
-   window*, it only merges what was already in flight).
+   :class:`~concurrent.futures.Future` immediately.  A single flusher
+   thread is self-clocking, like group commit or Nagle's algorithm
+   (RFC 896): when it is idle a request goes to the engine at once, and
+   whatever queues while a batch runs becomes the next batch, capped at
+   ``max_batch`` (an oversized backlog splits into consecutive full
+   batches).  Coalescing never adds a wait, it only merges what was
+   already in flight.  A request whose future is cancelled before its
+   batch starts — its waiter gave up — is dropped, never decided.
 2. **Deduplicate.**  Requests are grouped by the same canonical-fingerprint
    key the engine's result cache uses (schema fingerprint, left/right
    canonical tokens *and names*, config), so concurrent identical requests
@@ -36,11 +38,10 @@ from __future__ import annotations
 
 import dataclasses
 import threading
-import time
 from collections import deque
-from concurrent.futures import Future, InvalidStateError
+from concurrent.futures import Future
 from dataclasses import dataclass
-from typing import Any, Deque, Dict, List, Optional, Tuple
+from typing import Any, Deque, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..containment.counterexample import Counterexample
 from ..containment.solver import ContainmentConfig, _as_union
@@ -51,19 +52,19 @@ __all__ = ["CoalescerStats", "RequestCoalescer"]
 
 @dataclass
 class CoalescerStats:
-    """Counters of one coalescer: traffic in, batches out, duplicates merged."""
+    """Counters of one coalescer: traffic in, batches out, duplicates merged,
+    and requests dropped because their future was cancelled while queued."""
 
     submitted: int = 0
     unique: int = 0
     deduplicated: int = 0
     batches: int = 0
     largest_batch: int = 0
+    abandoned: int = 0
 
     def snapshot(self) -> "CoalescerStats":
         """An independent copy (the live object keeps counting)."""
-        return CoalescerStats(
-            self.submitted, self.unique, self.deduplicated, self.batches, self.largest_batch
-        )
+        return dataclasses.replace(self)
 
     def as_dict(self) -> Dict[str, Any]:
         """Plain-dict form for the ``/stats`` endpoint and benchmark reports."""
@@ -73,7 +74,10 @@ class CoalescerStats:
             "deduplicated": self.deduplicated,
             "batches": self.batches,
             "largest_batch": self.largest_batch,
-            "mean_batch_size": self.submitted / self.batches if self.batches else 0.0,
+            "abandoned": self.abandoned,
+            "mean_batch_size": (
+                (self.unique + self.deduplicated) / self.batches if self.batches else 0.0
+            ),
         }
 
     def __str__(self) -> str:
@@ -93,21 +97,6 @@ class _Pending:
     schema: Any
     config: Optional[ContainmentConfig]
     future: "Future[Any]"
-    enqueued_at: float
-
-
-def _resolve(future: "Future[Any]", result: Any) -> None:
-    try:
-        future.set_result(result)
-    except InvalidStateError:  # pragma: no cover - client cancelled the future
-        pass
-
-
-def _reject(future: "Future[Any]", error: BaseException) -> None:
-    try:
-        future.set_exception(error)
-    except InvalidStateError:  # pragma: no cover - client cancelled the future
-        pass
 
 
 def _independent_copy(result: Any) -> Any:
@@ -129,35 +118,32 @@ def _independent_copy(result: Any) -> Any:
 class RequestCoalescer:
     """Micro-batches concurrent containment requests into ``check_many``.
 
-    ``window`` is the coalescing window in **seconds** measured from the
-    first request of a batch (``0`` disables waiting: each flush takes
-    whatever is queued at that instant); ``max_batch`` caps one flush, with
-    the overflow flushed immediately after; ``parallel`` is the
-    ``check_many`` backend the flushed batches run on.  One flusher thread
-    serialises all engine traffic, so the coalescer composes with any
-    backend — including ``"process"``, where the pool lock would otherwise
-    serialise competing batches anyway.
+    Each flush takes whatever queued while the previous one ran, so an idle
+    coalescer passes a lone request straight through; ``max_batch`` caps
+    one flush, with the overflow flushed immediately after; ``parallel`` is
+    the ``check_many`` backend the flushed batches run on.  One flusher
+    thread serialises all engine traffic, so the coalescer composes with
+    any backend — including ``"process"``, where the pool lock would
+    otherwise serialise competing batches anyway.
 
-    :meth:`submit` never blocks on the engine; :meth:`check` is the
-    convenience blocking form.  :meth:`close` drains the queue (every
-    accepted future is resolved) and stops the flusher.
+    :meth:`submit` never blocks on the engine; :meth:`submit_many` queues
+    several requests at once, so they reach the same flush (up to
+    ``max_batch``); :meth:`check` is the convenience blocking form.
+    :meth:`close` drains the queue (every accepted future that was not
+    cancelled is resolved) and stops the flusher.
     """
 
     def __init__(
         self,
         engine: ContainmentEngine,
         *,
-        window: float = 0.005,
         max_batch: int = 64,
         parallel: Any = "serial",
         max_workers: Optional[int] = None,
     ) -> None:
-        if window < 0:
-            raise ValueError("coalescing window must be >= 0 seconds")
         if max_batch < 1:
             raise ValueError("max_batch must be at least 1")
         self.engine = engine
-        self.window = window
         self.max_batch = max_batch
         self.parallel = parallel
         self.max_workers = max_workers
@@ -196,22 +182,26 @@ class RequestCoalescer:
         config: Optional[ContainmentConfig] = None,
     ) -> "Future[Any]":
         """Queue one containment request; returns its future immediately."""
-        pending = _Pending(
-            self._request_key(left, right, schema, config),
-            left,
-            right,
-            schema,
-            config,
-            Future(),
-            time.monotonic(),
-        )
+        return self.submit_many([(left, right, schema, config)])[0]
+
+    def submit_many(self, requests: Iterable[Sequence]) -> "List[Future[Any]]":
+        """Queue ``(left, right, schema[, config])`` requests in one step.
+
+        They enter the queue in one step, so the flusher never takes a
+        batch in between; only the ``max_batch`` cap can split them.
+        """
+        pendings = []
+        for left, right, schema, *rest in requests:
+            config = rest[0] if rest else None
+            key = self._request_key(left, right, schema, config)
+            pendings.append(_Pending(key, left, right, schema, config, Future()))
         with self._cond:
             if self._closed:
                 raise RuntimeError("the request coalescer has been closed")
-            self._queue.append(pending)
-            self.stats.submitted += 1
+            self._queue.extend(pendings)
+            self.stats.submitted += len(pendings)
             self._cond.notify_all()
-        return pending.future
+        return [pending.future for pending in pendings]
 
     def check(
         self,
@@ -228,43 +218,26 @@ class RequestCoalescer:
     # the flusher
     # ------------------------------------------------------------------ #
     def _run(self) -> None:
-        overflow = False  # items left behind by a full batch flush next, no new window
         while True:
             with self._cond:
                 while not self._queue and not self._closed:
                     self._cond.wait()
                 if not self._queue:  # closed and drained
                     return
-                if (
-                    self.window > 0
-                    and len(self._queue) < self.max_batch
-                    and not self._closed
-                    and not overflow
-                ):
-                    # the window is anchored at the *head request's* arrival
-                    # (not at this thread's wake-up): a request that already
-                    # aged past the window while a previous batch was
-                    # flushing is taken immediately
-                    deadline = self._queue[0].enqueued_at + self.window
-                    while len(self._queue) < self.max_batch and not self._closed:
-                        remaining = deadline - time.monotonic()
-                        if remaining <= 0:
-                            break
-                        self._cond.wait(remaining)
                 batch = [
                     self._queue.popleft()
                     for _ in range(min(self.max_batch, len(self._queue)))
                 ]
-                overflow = bool(self._queue)
             self._flush(batch)
 
     def _flush(self, batch: List[_Pending]) -> None:
         """Dedup one batch, run it through the engine, fan results back out."""
-        if not batch:  # pragma: no cover - the loop never takes an empty batch
-            return
+        # claiming a future makes it uncancellable; one its waiter already
+        # cancelled is dropped here, so it can never lead a group
+        live = [pending for pending in batch if pending.future.set_running_or_notify_cancel()]
         leaders: List[_Pending] = []
         groups: Dict[Tuple, List[_Pending]] = {}
-        for pending in batch:
+        for pending in live:
             group = groups.get(pending.key)
             if group is None:
                 groups[pending.key] = [pending]
@@ -272,10 +245,13 @@ class RequestCoalescer:
             else:
                 group.append(pending)
         with self._cond:
+            self.stats.abandoned += len(batch) - len(live)
+            if not live:
+                return
             self.stats.batches += 1
             self.stats.unique += len(leaders)
-            self.stats.deduplicated += len(batch) - len(leaders)
-            self.stats.largest_batch = max(self.stats.largest_batch, len(batch))
+            self.stats.deduplicated += len(live) - len(leaders)
+            self.stats.largest_batch = max(self.stats.largest_batch, len(live))
         try:
             results = self.engine.check_many(
                 [(p.left, p.right, p.schema, p.config) for p in leaders],
@@ -283,8 +259,8 @@ class RequestCoalescer:
                 max_workers=self.max_workers,
             )
         except BaseException as error:  # noqa: BLE001 - relayed to every waiter
-            for pending in batch:
-                _reject(pending.future, error)
+            for pending in live:
+                pending.future.set_exception(error)
             return
         for leader, result in zip(leaders, results):
             # one decision per key, but each *duplicate* waiter gets an
@@ -292,9 +268,9 @@ class RequestCoalescer:
             # cache-replay path, so no client can mutate another's result
             # (or the engine's cached object) through a shared graph
             waiters = groups[leader.key]
-            _resolve(waiters[0].future, result)
+            waiters[0].future.set_result(result)
             for pending in waiters[1:]:
-                _resolve(pending.future, _independent_copy(result))
+                pending.future.set_result(_independent_copy(result))
 
     # ------------------------------------------------------------------ #
     # lifecycle

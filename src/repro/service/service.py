@@ -70,11 +70,10 @@ class ContainmentService:
     or a pinned ``"serial"``/``"thread"``/``"process"`` (the process pool is
     spawned eagerly so the first request does not pay for it; under
     ``"auto"`` the pool spawns only once the measured costs actually favour
-    it).  ``persist`` puts the disk store behind the engine;
-    ``coalesce_window``/``max_batch`` shape the micro-batching.  Pass an
-    existing ``engine`` to embed the service next to other users of the same
-    caches (the caller keeps ownership and the service's ``close()`` leaves
-    it open).
+    it).  ``persist`` puts the disk store behind the engine; ``max_batch``
+    caps one coalesced wave.  Pass an existing ``engine`` to embed the
+    service next to other users of the same caches (the caller keeps
+    ownership and the service's ``close()`` leaves it open).
     """
 
     def __init__(
@@ -85,7 +84,6 @@ class ContainmentService:
         workers: Optional[int] = None,
         persist: Optional[Any] = None,
         persist_mode: str = "rw",
-        coalesce_window: float = 0.005,
         max_batch: int = 64,
         engine: Optional[ContainmentEngine] = None,
         parse_cache_size: int = 256,
@@ -104,11 +102,7 @@ class ContainmentService:
                 # pay the spawn cost now, not on the first client's request
                 self.engine.process_pool(workers).start()
             self.coalescer = RequestCoalescer(
-                self.engine,
-                window=coalesce_window,
-                max_batch=max_batch,
-                parallel=backend,
-                max_workers=workers,
+                self.engine, max_batch=max_batch, parallel=backend, max_workers=workers
             )
         except BaseException:
             if self._owns_engine:
@@ -203,14 +197,14 @@ class ContainmentService:
         right = self._parse_query(payload, "right")
         return left, right, schema
 
-    def _submit_parsed(self, left: Any, right: Any, schema: Any):
+    def _submit_parsed(self, requests: List[Tuple[Any, Any, Any]]):
         with self._lock:
-            self._requests += 1
+            self._requests += len(requests)
         try:
-            return self.coalescer.submit(left, right, schema)
+            return self.coalescer.submit_many(requests)
         except BaseException:
             with self._lock:
-                self._failures += 1
+                self._failures += len(requests)
             raise
 
     def submit(self, payload: Dict[str, Any]):
@@ -219,8 +213,7 @@ class ContainmentService:
         Raises :class:`ServiceError` on malformed payloads *before* anything
         reaches the coalescer, so bad requests never occupy a batch slot.
         """
-        left, right, schema = self._parse_payload(payload)
-        return self._submit_parsed(left, right, schema)
+        return self._submit_parsed([self._parse_payload(payload)])[0]
 
     def render(self, result, request_id: Any = None) -> Dict[str, Any]:
         """One verdict as a JSON-ready response dict."""
@@ -238,9 +231,17 @@ class ContainmentService:
         return response
 
     def handle(self, payload: Dict[str, Any], timeout: Optional[float] = None) -> Dict[str, Any]:
-        """The blocking request→response form used by both transports."""
+        """The blocking request→response form used by both transports.
+
+        A wait that fails (times out) cancels the request, so a queued one
+        is dropped instead of decided for nobody.
+        """
         future = self.submit(payload)
-        result = future.result(timeout)
+        try:
+            result = future.result(timeout)
+        except BaseException:
+            future.cancel()
+            raise
         return self.render(result, payload.get("id"))
 
     def handle_many(
@@ -250,18 +251,21 @@ class ContainmentService:
 
         All payloads are *parsed* before anything is queued — one malformed
         request fails the whole batch up front, without first handing the
-        engine work whose answers nobody will read — and all are queued
-        before the first wait, so a ``/batch`` request coalesces with itself
-        even under a zero window.
+        engine work whose answers nobody will read — and all are queued in
+        one step, so no wave starts in the middle of a ``/batch``: only the
+        ``max_batch`` cap splits one.  A wait that fails cancels the whole
+        batch.
         """
-        parsed = [(payload, self._parse_payload(payload)) for payload in payloads]
-        futures = [
-            (payload, self._submit_parsed(left, right, schema))
-            for payload, (left, right, schema) in parsed
-        ]
+        futures = self._submit_parsed([self._parse_payload(payload) for payload in payloads])
+        try:
+            results = [future.result(timeout) for future in futures]
+        except BaseException:
+            for future in futures:
+                future.cancel()
+            raise
         return [
-            self.render(future.result(timeout), payload.get("id"))
-            for payload, future in futures
+            self.render(result, payload.get("id"))
+            for payload, result in zip(payloads, results)
         ]
 
     # ------------------------------------------------------------------ #
@@ -322,7 +326,6 @@ class ContainmentService:
                 **self.healthz(),
                 "failures": self._failures,
                 "schema_updates": self._schema_updates,
-                "coalesce_window_seconds": self.coalescer.window,
                 "max_batch": self.coalescer.max_batch,
                 "parse_caches": {
                     cache.stats.name: cache.stats.as_dict()

@@ -142,8 +142,8 @@ def generate_trace(
       cache-hit rates, also *across* tenants); cold tenants walk the full
       corpus (mostly fresh fingerprints).
     * **burst arrival** — every *burst_every* requests, the next
-      *burst_size* arrivals collapse to near-zero offset gaps, the
-      coalescer's window-filling shape.
+      *burst_size* arrivals collapse to near-zero offset gaps: they queue
+      while the coalescer's current wave runs and form the next one.
     * **duplicate storms** — *duplicate_storms* times, spread evenly, one
       payload repeats *storm_size* times back-to-back from one tenant: the
       thundering-herd shape where a coalescing service must decide once and

@@ -9,7 +9,7 @@ a deterministic, seeded sequence of ``(left, right, schema)`` triples drawn
 from the mixed multi-schema batch, with a configurable fraction of
 *repeats* biased toward recently seen requests (hot keys), so a coalescing
 service sees both deduplicable duplicates and genuinely fresh work in the
-same window.
+same wave.
 
 :func:`request_payloads` renders the same stream as JSON-ready dicts (the
 schema as :func:`repro.schema.parser.schema_to_text` DSL text, queries as

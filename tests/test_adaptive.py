@@ -190,7 +190,7 @@ def test_empty_auto_batch_returns_empty():
 
 
 def test_service_defaults_to_auto_and_reports_the_selector():
-    with ContainmentService(coalesce_window=0.0) as service:
+    with ContainmentService() as service:
         assert service.backend == "auto"
         response = service.handle(
             {"workload": "medical", "left": "p(x) := Antigen(x)", "right": "q(x) := Antigen(x)"}

@@ -292,7 +292,7 @@ def test_serve_stdio_round_trip(monkeypatch, capsys):
         json.dumps({"op": "shutdown"}),
     ]
     monkeypatch.setattr(real_sys, "stdin", io.StringIO("\n".join(lines) + "\n"))
-    code = main(["serve", "--stdio", "--coalesce-window", "0"])
+    code = main(["serve", "--stdio"])
     assert code == 0
     responses = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
     assert responses[0]["contained"] is True
@@ -366,7 +366,7 @@ def test_recorded_trace_replays_through_serve_stdio(monkeypatch, tmp_path, capsy
         expected.append(record["result_fingerprint"])
         lines.append(json.dumps(record["request"]))
     monkeypatch.setattr(real_sys, "stdin", io.StringIO("\n".join(lines) + "\n"))
-    code = main(["serve", "--stdio", "--coalesce-window", "2"])
+    code = main(["serve", "--stdio"])
     assert code == 0
     responses = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
     assert [response["fingerprint"] for response in responses] == expected

@@ -151,7 +151,7 @@ def test_latency_percentiles_nearest_rank():
 # replay fidelity
 # --------------------------------------------------------------------------- #
 def test_stamped_trace_replays_bit_identically(stamped_trace):
-    with ContainmentService(coalesce_window=0.002, max_batch=16) as service:
+    with ContainmentService(max_batch=16) as service:
         report = replay_trace(service, stamped_trace, clients=6)
     assert report.matches
     assert report.fingerprints == [request.expected for request in stamped_trace.requests]
@@ -178,7 +178,7 @@ def test_stdio_transport_replays_a_trace_in_order(stamped_trace):
         json.dumps(request.payload) for request in stamped_trace.requests
     ) + "\n"
     output = StringIO()
-    with ContainmentService(coalesce_window=0.002, max_batch=16) as service:
+    with ContainmentService(max_batch=16) as service:
         counts = serve_stdio(service, StringIO(lines), output)
     assert counts["errors"] == 0
     responses = [json.loads(line) for line in output.getvalue().splitlines()]
@@ -201,7 +201,7 @@ def test_duplicate_storm_coalesces_to_one_solver_call_per_payload():
         )
     )
     assert trace.unique_payloads() < len(trace) // 2  # genuinely duplicate-heavy
-    with ContainmentService(coalesce_window=0.005, max_batch=32) as service:
+    with ContainmentService(max_batch=32) as service:
         report = replay_trace(service, trace, clients=8)
         stats = service.stats_report()
     assert report.matches

@@ -8,9 +8,12 @@ backend, store on or off — every response must carry the exact
 request."""
 
 import json
+import sys
 import threading
+import time
 import urllib.error
 import urllib.request
+from concurrent.futures import TimeoutError as FutureTimeoutError
 from io import StringIO
 
 import pytest
@@ -54,12 +57,49 @@ def _drive(service, stream, clients=6):
     return _fingerprints(results)
 
 
+class _GatedEngine(ContainmentEngine):
+    """A real engine whose ``check_many`` records each wave it receives (as
+    the left-query names) and then blocks until :attr:`gate` is set, so a
+    test decides exactly what queues while a wave runs."""
+
+    def __init__(self):
+        super().__init__()
+        self.gate = threading.Event()
+        self.waves = []
+        self._arrivals = threading.Semaphore(0)
+
+    def check_many(self, requests, **kwargs):
+        requests = list(requests)
+        self.waves.append([request[0].name for request in requests])
+        self._arrivals.release()
+        assert self.gate.wait(timeout=30), "the test never opened the gate"
+        return super().check_many(requests, **kwargs)
+
+    def wait_for_wave(self):
+        assert self._arrivals.acquire(timeout=30), "no wave reached the engine"
+
+
+def _medical_request(name):
+    left = parse_c2rpq(f"{name}(x) := (designTarget)(x, y)")
+    return left, parse_c2rpq("q(x) := Vaccine(x)"), medical.source_schema()
+
+
 # --------------------------------------------------------------------------- #
 # the tentpole invariant: service == serial engine, bit for bit
 # --------------------------------------------------------------------------- #
 def test_coalesced_service_matches_serial_fingerprints(small_stream, stream_baseline):
-    with ContainmentService(coalesce_window=0.01, max_batch=16) as service:
-        assert _drive(service, small_stream) == stream_baseline
+    clients = 6
+    with _GatedEngine() as engine, ContainmentService(engine=engine, max_batch=16) as service:
+        # hold the first wave until every client has a request queued, so
+        # the stream's early repeats (items 1, 2 and 4 share a key) are in
+        # flight together however the threads are scheduled
+        def open_gate():
+            while service.coalescer.stats.submitted < clients:
+                time.sleep(0.001)
+            engine.gate.set()
+
+        threading.Thread(target=open_gate, daemon=True).start()
+        assert _drive(service, small_stream, clients=clients) == stream_baseline
         stats = service.coalescer.stats
         assert stats.submitted == len(small_stream)
         assert stats.batches < len(small_stream)  # concurrency really coalesced
@@ -74,7 +114,7 @@ def test_process_backend_service_with_persist_matches_serial(
     disk for the next process to warm-start from."""
     store_path = tmp_path / "service-store.db"
     with ContainmentService(
-        parallel="process", workers=2, persist=store_path, coalesce_window=0.01, max_batch=16
+        parallel="process", workers=2, persist=store_path, max_batch=16
     ) as service:
         assert _drive(service, small_stream) == stream_baseline
         assert service.engine.stats.store.writes > 0
@@ -95,8 +135,8 @@ def test_duplicate_in_flight_requests_are_decided_once():
     left = parse_c2rpq("p(x) := (designTarget)(x, y)")
     right = parse_c2rpq("q(x) := Vaccine(x)")
     engine = ContainmentEngine()
-    with RequestCoalescer(engine, window=0.05, max_batch=32) as coalescer:
-        futures = [coalescer.submit(left, right, schema) for _ in range(6)]
+    with RequestCoalescer(engine, max_batch=32) as coalescer:
+        futures = coalescer.submit_many([(left, right, schema)] * 6)
         results = [future.result(timeout=30) for future in futures]
     assert len({result_fingerprint(result) for result in results}) == 1
     assert coalescer.stats.submitted == 6
@@ -107,23 +147,9 @@ def test_duplicate_in_flight_requests_are_decided_once():
     engine.close()
 
 
-def test_window_closing_on_a_single_request_flushes_it():
-    """An "empty" window — nobody else showed up — must not delay or drop
-    the lone request."""
-    schema = medical.source_schema()
-    left = parse_c2rpq("p(x) := (designTarget)(x, y)")
-    right = parse_c2rpq("q(x) := Vaccine(x)")
-    with ContainmentEngine() as engine:
-        with RequestCoalescer(engine, window=0.005, max_batch=64) as coalescer:
-            result = coalescer.check(left, right, schema, timeout=30)
-            assert result.contained
-            assert coalescer.stats.batches == 1
-            assert coalescer.stats.largest_batch == 1
-
-
 def test_oversized_waves_split_into_max_batch_chunks(small_stream):
     with ContainmentEngine() as engine:
-        with RequestCoalescer(engine, window=0.2, max_batch=4) as coalescer:
+        with RequestCoalescer(engine, max_batch=4) as coalescer:
             futures = [
                 coalescer.submit(left, right, schema) for left, right, schema in small_stream
             ]
@@ -135,24 +161,12 @@ def test_oversized_waves_split_into_max_batch_chunks(small_stream):
     assert stats.submitted == len(small_stream)
 
 
-def test_zero_window_disables_waiting():
-    schema = medical.source_schema()
-    left = parse_c2rpq("p(x) := (designTarget)(x, y)")
-    right = parse_c2rpq("q(x) := Vaccine(x)")
-    with ContainmentEngine() as engine:
-        with RequestCoalescer(engine, window=0.0, max_batch=1) as coalescer:
-            for _ in range(3):
-                coalescer.check(left, right, schema, timeout=30)
-            assert coalescer.stats.largest_batch == 1
-            assert coalescer.stats.batches == 3
-
-
 def test_closed_coalescer_rejects_submissions_but_drains_in_flight():
     schema = medical.source_schema()
     left = parse_c2rpq("p(x) := (designTarget)(x, y)")
     right = parse_c2rpq("q(x) := Vaccine(x)")
     with ContainmentEngine() as engine:
-        coalescer = RequestCoalescer(engine, window=0.05, max_batch=8)
+        coalescer = RequestCoalescer(engine, max_batch=8)
         future = coalescer.submit(left, right, schema)
         coalescer.close()
         assert future.result(timeout=30).contained  # accepted before close: answered
@@ -167,7 +181,7 @@ def test_engine_failures_reach_every_waiting_future():
     right = parse_c2rpq("q(x) := Vaccine(x)")
     engine = ContainmentEngine()
     engine.close()  # a dead engine: check_many raises use-after-close
-    coalescer = RequestCoalescer(engine, window=0.02, max_batch=8)
+    coalescer = RequestCoalescer(engine, max_batch=8)
     futures = [coalescer.submit(left, right, schema) for _ in range(2)]
     for future in futures:
         with pytest.raises(RuntimeError, match="has been closed"):
@@ -177,10 +191,124 @@ def test_engine_failures_reach_every_waiting_future():
 
 def test_coalescer_validates_its_parameters():
     with ContainmentEngine() as engine:
-        with pytest.raises(ValueError, match="window"):
-            RequestCoalescer(engine, window=-0.001)
         with pytest.raises(ValueError, match="max_batch"):
             RequestCoalescer(engine, max_batch=0)
+
+
+# --------------------------------------------------------------------------- #
+# self-clocking waves, driven deterministically by a gated engine
+# --------------------------------------------------------------------------- #
+def test_lone_request_on_an_idle_coalescer_reaches_the_engine_at_once():
+    with _GatedEngine() as engine:
+        with RequestCoalescer(engine, max_batch=64) as coalescer:
+            future = coalescer.submit(*_medical_request("a"))
+            # no companion ever arrives and nothing closes the coalescer:
+            # an idle flusher hands the request over on its own
+            engine.wait_for_wave()
+            assert engine.waves == [["a"]]
+            engine.gate.set()
+            assert future.result(timeout=30).contained
+
+
+def test_requests_queued_during_a_wave_become_the_next_wave_deduplicated():
+    with _GatedEngine() as engine:
+        with RequestCoalescer(engine, max_batch=64) as coalescer:
+            first = coalescer.submit(*_medical_request("a"))
+            engine.wait_for_wave()
+            queued = [coalescer.submit(*_medical_request(name)) for name in ("b", "c", "b")]
+            engine.gate.set()
+            for future in [first, *queued]:
+                future.result(timeout=30)
+    assert engine.waves == [["a"], ["b", "c"]]
+    assert coalescer.stats.batches == 2
+    assert coalescer.stats.deduplicated == 1
+
+
+def test_backlog_beyond_max_batch_splits_into_full_chunks():
+    with _GatedEngine() as engine:
+        with RequestCoalescer(engine, max_batch=2) as coalescer:
+            first = coalescer.submit(*_medical_request("a"))
+            engine.wait_for_wave()
+            queued = [coalescer.submit(*_medical_request(name)) for name in "bcdef"]
+            engine.gate.set()
+            for future in [first, *queued]:
+                future.result(timeout=30)
+    assert engine.waves == [["a"], ["b", "c"], ["d", "e"], ["f"]]
+
+
+def test_cancelled_requests_are_dropped_before_the_engine():
+    with _GatedEngine() as engine:
+        coalescer = RequestCoalescer(engine, max_batch=64)
+        first = coalescer.submit(*_medical_request("a"))
+        engine.wait_for_wave()
+        abandoned = coalescer.submit(*_medical_request("b"))
+        assert abandoned.cancel()
+        engine.gate.set()
+        assert first.result(timeout=30).contained
+        coalescer.close()  # the flusher has popped, and skipped, the cancelled request
+    assert engine.waves == [["a"]]
+    assert coalescer.stats.abandoned == 1
+    assert coalescer.stats.as_dict()["abandoned"] == 1
+    assert coalescer.stats.submitted == 2 and coalescer.stats.unique == 1
+
+
+def test_a_cancelled_request_never_leads_its_duplicates():
+    with _GatedEngine() as engine:
+        with RequestCoalescer(engine, max_batch=64) as coalescer:
+            first = coalescer.submit(*_medical_request("a"))
+            engine.wait_for_wave()
+            cancelled, duplicate = coalescer.submit_many([_medical_request("b")] * 2)
+            assert cancelled.cancel()
+            engine.gate.set()
+            first.result(timeout=30)
+            assert duplicate.result(timeout=30).contained
+    assert engine.waves == [["a"], ["b"]]
+    assert coalescer.stats.abandoned == 1
+    assert coalescer.stats.deduplicated == 0
+
+
+def test_timed_out_service_requests_are_abandoned():
+    payload = {"workload": "medical", "right": "q(x) := Vaccine(x)"}
+    with _GatedEngine() as engine:
+        with ContainmentService(engine=engine, parallel="serial") as service:
+            blocked = threading.Thread(
+                target=service.handle, args=({**payload, "left": "a(x) := (designTarget)(x, y)"},)
+            )
+            blocked.start()
+            engine.wait_for_wave()
+            with pytest.raises(FutureTimeoutError):
+                service.handle({**payload, "left": "b(x) := (designTarget)(x, y)"}, timeout=0.01)
+            with pytest.raises(FutureTimeoutError):
+                service.handle_many(
+                    [{**payload, "left": f"{name}(x) := (designTarget)(x, y)"} for name in "cd"],
+                    timeout=0.01,
+                )
+            engine.gate.set()
+            blocked.join(timeout=30)
+            service.coalescer.close()
+            assert engine.waves == [["a"]]
+            assert service.stats_report()["coalescer"]["abandoned"] == 3
+
+
+def test_handle_many_reaches_the_engine_as_one_wave():
+    """``/batch`` payloads are queued in one step: even when the interpreter
+    switches threads as often as it can, the flusher never starts a wave in
+    the middle of a client batch."""
+    payloads = [
+        {"workload": "medical", "left": f"p{i}(x) := (designTarget)(x, y)",
+         "right": "q(x) := Vaccine(x)"}
+        for i in range(6)
+    ]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ContainmentEngine() as engine:
+            for _ in range(20):
+                with ContainmentService(engine=engine, parallel="serial", max_batch=8) as service:
+                    service.handle_many(payloads)
+                    assert service.coalescer.stats.batches == 1
+    finally:
+        sys.setswitchinterval(interval)
 
 
 # --------------------------------------------------------------------------- #
@@ -267,7 +395,7 @@ def test_service_borrowing_an_engine_leaves_it_open():
 # --------------------------------------------------------------------------- #
 @pytest.fixture()
 def http_server():
-    service = ContainmentService(coalesce_window=0.005, max_batch=16)
+    service = ContainmentService(max_batch=16)
     server = make_server(service)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
@@ -377,7 +505,7 @@ def test_stdio_answers_in_input_order_with_control_ops(stream_baseline):
     lines.append(json.dumps({"op": "stats"}))
     lines.append(json.dumps({"op": "shutdown"}))
     output = StringIO()
-    with ContainmentService(coalesce_window=0.002, max_batch=8) as service:
+    with ContainmentService(max_batch=8) as service:
         counts = serve_stdio(service, StringIO("\n".join(lines) + "\n"), output)
     responses = [json.loads(line) for line in output.getvalue().splitlines()]
 
@@ -428,25 +556,6 @@ def test_handle_many_rejects_malformed_batches_before_any_work():
         assert service.coalescer.stats.submitted == 0
 
 
-def test_oversized_wave_overflow_flushes_without_a_fresh_window():
-    schema = medical.source_schema()
-    lefts = [parse_c2rpq(f"p{i}(x) := (designTarget)(x, y)") for i in range(5)]
-    right = parse_c2rpq("q(x) := Vaccine(x)")
-    with ContainmentEngine() as engine:
-        # a window far longer than the test: if the overflow waited a fresh
-        # window per tail item, the waits alone would exceed the timeout
-        with RequestCoalescer(engine, window=5.0, max_batch=2) as coalescer:
-            futures = [coalescer.submit(left, right, schema) for left in lefts]
-            import time as _time
-
-            started = _time.perf_counter()
-            for future in futures:
-                future.result(timeout=30)
-            elapsed = _time.perf_counter() - started
-    assert coalescer.stats.batches >= 3  # 5 requests through batches of <= 2
-    assert elapsed < 10.0, "overflow batches waited fresh coalescing windows"
-
-
 def test_duplicate_waiters_get_independent_witness_copies():
     """A duplicate's counterexample graph is the client's to mutate — never
     shared with another waiter or with the engine's cached object."""
@@ -457,8 +566,8 @@ def test_duplicate_waiters_get_independent_witness_copies():
     right = parse_c2rpq("q(x) := Vaccine(x)")
     config = ContainmentConfig(search_finite_counterexample=True)
     with ContainmentEngine() as engine:
-        with RequestCoalescer(engine, window=0.05, max_batch=8) as coalescer:
-            futures = [coalescer.submit(left, right, schema, config) for _ in range(3)]
+        with RequestCoalescer(engine, max_batch=8) as coalescer:
+            futures = coalescer.submit_many([(left, right, schema, config)] * 3)
             results = [future.result(timeout=30) for future in futures]
     assert len({result_fingerprint(result) for result in results}) == 1
     graphs = [result.finite_counterexample.graph for result in results]

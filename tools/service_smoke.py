@@ -63,7 +63,7 @@ def main() -> int:
     baseline = serial_fingerprints(payloads)
 
     process = subprocess.Popen(
-        [sys.executable, "-m", "repro", "serve", "--port", "0", "--coalesce-window", "5"],
+        [sys.executable, "-m", "repro", "serve", "--port", "0"],
         cwd=ROOT,
         env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
         stdout=subprocess.PIPE,
