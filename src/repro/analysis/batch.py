@@ -4,13 +4,10 @@ at fleet scale).
 A served deployment does not type check one migration at a time — it
 validates whole catalogues of transformations against schema registries.
 :func:`type_check_many` and :func:`check_equivalence_many` run such batches
-across the same three backends as
-:meth:`repro.engine.ContainmentEngine.check_many`:
+on the backends of :meth:`repro.engine.ContainmentEngine.check_many`:
 
-* ``"serial"`` — one shared engine, jobs in order (the baseline);
-* ``"thread"`` — a thread pool over one shared engine; overlaps only
-  allocator/cache-bound work under the GIL, but every job warms the same
-  caches;
+* ``"serial"`` — one shared engine, jobs in order (the baseline, and
+  where ``"auto"`` runs too);
 * ``"process"`` — each *job* ships whole to a
   :class:`~repro.engine.parallel.WorkerPool` worker (routed by source-schema
   fingerprint, so a registry of schemas shards cleanly), runs against that
@@ -18,15 +15,13 @@ across the same three backends as
   statement entailments, per-difference containment results — is pickled
   back.
 
-All backends produce identical analysis outcomes; the process backend is the
-one that scales with cores because each job's many containment calls run in
-a separate interpreter.
+Both backends produce identical analysis outcomes; the process backend scales
+with cores because each job's many containment calls run in a separate
+interpreter.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from typing import Any, List, Optional, Sequence, Tuple, Union
 
 from ..containment.solver import ContainmentConfig
@@ -43,7 +38,7 @@ def _run_jobs(
     payloads: Sequence[Tuple],
     routing_schemas: Sequence[Schema],
     serial_runner,
-    parallel: Union[bool, str],
+    parallel: str,
     engine: Optional[ContainmentEngine],
     max_workers: Optional[int],
     persist: Optional[Any] = None,
@@ -68,11 +63,6 @@ def _run_jobs(
                 schema_fp = schema.canonical_fingerprint()
                 keys.append((schema_fp, "", f"{schema_fp}\x1f{position}"))
             return pool.run_batch(kind, list(payloads), keys)
-        if backend == "thread" and len(payloads) > 1:
-            workers = max_workers or min(32, (os.cpu_count() or 2))
-            workers = min(workers, len(payloads))
-            with ThreadPoolExecutor(max_workers=workers) as executor:
-                return list(executor.map(lambda p: serial_runner(resolved_engine, p), payloads))
         return [serial_runner(resolved_engine, payload) for payload in payloads]
     finally:
         if owned is not None:
@@ -83,7 +73,7 @@ def type_check_many(
     jobs: Sequence[Union[Tuple, Any]],
     *,
     config: Optional[ContainmentConfig] = None,
-    parallel: Union[bool, str] = False,
+    parallel: str = "serial",
     engine: Optional[ContainmentEngine] = None,
     max_workers: Optional[int] = None,
     persist: Optional[Any] = None,
@@ -120,7 +110,7 @@ def check_equivalence_many(
     jobs: Sequence[Union[Tuple, Any]],
     *,
     config: Optional[ContainmentConfig] = None,
-    parallel: Union[bool, str] = False,
+    parallel: str = "serial",
     engine: Optional[ContainmentEngine] = None,
     max_workers: Optional[int] = None,
     persist: Optional[Any] = None,

@@ -8,7 +8,7 @@ Seven subcommands over the library's hot paths:
   migration (or a transformation/schema file triple);
 * ``batch`` — a containment batch through
   :meth:`~repro.engine.ContainmentEngine.check_many` on a chosen backend
-  (``serial``/``thread``/``process``), with JSON timing + cache-stats
+  (``serial``/``process``/``auto``), with JSON timing + cache-stats
   reports;
 * ``bench`` — the same batch across *all* requested backends, asserting
   fingerprint-identical verdicts and reporting per-backend speedups; with
@@ -88,7 +88,7 @@ from .workloads.batches import (
 
 __all__ = ["main"]
 
-BACKENDS = ("serial", "thread", "process", "auto")
+BACKENDS = ("serial", "process", "auto")
 
 #: The RNG seed recorded in (and applied before) every bench report, so any
 #: randomised corpus or tie-breaking is reproducible run to run.
@@ -342,54 +342,58 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    if args.suite == "automata":
-        return _cmd_bench_automata(args)
-    if args.suite == "store":
-        return _cmd_bench_store(args)
-    if args.suite == "service":
-        return _cmd_bench_service(args)
-    if args.suite == "zoo":
-        return _cmd_bench_zoo(args)
-    if args.suite == "evolve":
-        return _cmd_bench_evolve(args)
-    if args.repeats is not None or args.requests is not None:
-        print(
-            "bench: --repeats/--requests only apply to --suite "
-            "automata/service/zoo/evolve; ignoring",
-            file=sys.stderr,
-        )
-    if args.persist:
-        print(
-            "bench: --persist only applies to --suite store (a shared store would "
-            "warm later backends and skew the comparison); ignoring",
-            file=sys.stderr,
-        )
-    label, schema, pairs = _resolve_batch(args)
-    backends = [backend.strip() for backend in args.backends.split(",") if backend.strip()]
-    unknown = [backend for backend in backends if backend not in BACKENDS]
-    if unknown:
-        raise SystemExit(f"bench: unknown backend(s) {', '.join(unknown)}")
+def _compare_backends(
+    title: str, backends_text: str, schema: Optional[Schema], requests, workers: Optional[int]
+) -> Tuple[Dict[str, Dict[str, Any]], Dict[str, str], bool, str]:
+    """Run *requests* on each backend in *backends_text*, each from a cold start.
 
-    context = _context_block()  # seeds the RNG before any backend runs
+    Every backend gets a fresh engine and an emptied process-wide compile
+    memo, so no backend inherits the compilations of the one before it and
+    the order of ``--backends`` cannot move a reported speedup.  Returns the
+    per-backend runs (timings, speedup over serial, cache stats), the batch
+    fingerprints, whether they agree, and the text summary.
+    """
+    from .core import clear_compile_memo
+
+    backends = [backend.strip() for backend in backends_text.split(",") if backend.strip()]
+    unknown = [backend for backend in backends if backend not in BACKENDS]
+    if unknown or not backends:
+        raise SystemExit(f"bench: unknown backend(s) {', '.join(unknown) or repr(backends_text)}")
     runs: Dict[str, Dict[str, Any]] = {}
-    fingerprints = {}
+    fingerprints: Dict[str, str] = {}
     for backend in backends:
+        clear_compile_memo()
         with ContainmentEngine() as engine:
-            results, elapsed = _run_backend(engine, backend, schema, pairs, args.workers)
+            results, elapsed = _run_backend(engine, backend, schema, requests, workers)
             fingerprints[backend] = _batch_fingerprint(results)
             runs[backend] = {
                 "elapsed_seconds": elapsed,
-                "throughput_per_second": len(pairs) / elapsed if elapsed else None,
+                "throughput_per_second": len(requests) / elapsed if elapsed else None,
                 "stats": _stats_block(engine, backend),
             }
-
     identical = len(set(fingerprints.values())) == 1
     baseline = runs.get("serial") or runs[backends[0]]
+    lines = [title]
     for backend, run in runs.items():
-        run["speedup_vs_serial"] = (
+        speedup = (
             baseline["elapsed_seconds"] / run["elapsed_seconds"] if run["elapsed_seconds"] else None
         )
+        run["speedup_vs_serial"] = speedup
+        lines.append(
+            f"  {backend:8s} {run['elapsed_seconds'] * 1000:9.1f} ms  "
+            f"{f'{speedup:.2f}x' if speedup is not None else 'inf'} vs serial"
+        )
+    lines.append(f"  verdicts identical across backends: {identical}")
+    return runs, fingerprints, identical, "\n".join(lines)
+
+
+def _cmd_bench_backends(args: argparse.Namespace) -> int:
+    """``bench`` (``--suite backends``) — one workload across execution backends."""
+    label, schema, pairs = _resolve_batch(args)
+    context = _context_block()  # seeds the RNG before any backend runs
+    runs, fingerprints, identical, summary = _compare_backends(
+        f"{label}: {len(pairs)} containment tests", args.backends, schema, pairs, args.workers
+    )
     report = {
         "suite": "backends",
         "workload": label,
@@ -400,16 +404,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         "verdicts_identical": identical,
         "context": context,
     }
-    lines = [f"{label}: {len(pairs)} containment tests"]
-    for backend in backends:
-        run = runs[backend]
-        speedup = run["speedup_vs_serial"]
-        lines.append(
-            f"  {backend:8s} {run['elapsed_seconds'] * 1000:9.1f} ms  "
-            f"{f'{speedup:.2f}x' if speedup is not None else 'inf'} vs serial"
-        )
-    lines.append(f"  verdicts identical across backends: {identical}")
-    _emit(report, args.json, "\n".join(lines))
+    _emit(report, args.json, summary)
     return 0 if identical else 1
 
 
@@ -417,30 +412,8 @@ def _cmd_bench_automata(args: argparse.Namespace) -> int:
     """``bench --suite automata`` — the compiled-automaton-core report."""
     from .core import benchmarks
 
-    ignored = []
-    if args.workload != "medical":
-        ignored.append("--workload")
-    if args.length != 8:
-        ignored.append("--length")
-    if args.spec:
-        ignored.append("--spec")
-    if args.backends != "serial,thread,process":
-        ignored.append("--backends")
-    if args.workers is not None:
-        ignored.append("--workers")
-    if args.persist:
-        ignored.append("--persist")
-    if ignored:
-        print(
-            f"bench: {', '.join(ignored)} do(es) not apply to --suite automata "
-            "(it runs a fixed built-in corpus); ignoring",
-            file=sys.stderr,
-        )
     context = _context_block()
-    report = benchmarks.run_report(
-        repeats=args.repeats if args.repeats is not None else 5,
-        requests=args.requests if args.requests is not None else 50,
-    )
+    report = benchmarks.run_report(repeats=args.repeats, requests=args.requests)
     report["context"] = context
     _emit(report, args.json, benchmarks.summary(report))
     return 0
@@ -462,23 +435,6 @@ def _cmd_bench_store(args: argparse.Namespace) -> int:
     """
     from .core import clear_compile_memo
 
-    ignored = []
-    if args.backends != "serial,thread,process":
-        ignored.append("--backends")
-    if args.workers is not None:
-        ignored.append("--workers")
-    if args.repeats is not None or args.requests is not None:
-        ignored.append("--repeats/--requests")
-    if args.spec:
-        ignored.append("--spec")
-    if args.workload != "medical":
-        ignored.append("--workload")
-    if ignored:
-        print(
-            f"bench: {', '.join(ignored)} do(es) not apply to --suite store "
-            "(it runs the mixed workload serially); ignoring",
-            file=sys.stderr,
-        )
     context = _context_block()
 
     temp_dir: Optional[tempfile.TemporaryDirectory] = None
@@ -566,54 +522,21 @@ def _cmd_bench_zoo(args: argparse.Namespace) -> int:
     """
     from .workloads.zoo import zoo_corpus
 
-    ignored = []
-    if args.spec:
-        ignored.append("--spec")
-    if args.workload != "medical":
-        ignored.append("--workload")
-    if args.length != 8:
-        ignored.append("--length")
-    if args.repeats is not None:
-        ignored.append("--repeats")
-    if args.persist:
-        ignored.append("--persist")
-    if ignored:
-        print(
-            f"bench: {', '.join(ignored)} do(es) not apply to --suite zoo "
-            "(it runs the seeded zoo corpus); ignoring",
-            file=sys.stderr,
-        )
-    backends = [backend.strip() for backend in args.backends.split(",") if backend.strip()]
-    unknown = [backend for backend in backends if backend not in BACKENDS]
-    if unknown:
-        raise SystemExit(f"bench: unknown backend(s) {', '.join(unknown)}")
-
     context = _context_block()
-    property_pairs = args.requests if args.requests is not None else 72
     queries_per_schema = 12
-    schemas = max(1, property_pairs // queries_per_schema)
+    schemas = max(1, args.requests // queries_per_schema)
     corpus = zoo_corpus(schemas=schemas, queries_per_schema=queries_per_schema)
     requests = [
         (left, right, schema) for family in corpus.values() for left, right, schema in family
     ]
-
-    runs: Dict[str, Dict[str, Any]] = {}
-    fingerprints: Dict[str, str] = {}
-    for backend in backends:
-        with ContainmentEngine() as engine:
-            results, elapsed = _run_backend(engine, backend, None, requests, args.workers)
-            fingerprints[backend] = _batch_fingerprint(results)
-            runs[backend] = {
-                "elapsed_seconds": elapsed,
-                "throughput_per_second": len(requests) / elapsed if elapsed else None,
-                "stats": _stats_block(engine, backend),
-            }
-    identical = len(set(fingerprints.values())) == 1
-    baseline = runs.get("serial") or runs[backends[0]]
-    for run in runs.values():
-        run["speedup_vs_serial"] = (
-            baseline["elapsed_seconds"] / run["elapsed_seconds"] if run["elapsed_seconds"] else None
-        )
+    family_text = ", ".join(f"{name}: {len(family)}" for name, family in corpus.items())
+    runs, fingerprints, identical, summary = _compare_backends(
+        f"zoo: {len(requests)} containment tests ({family_text})",
+        args.backends,
+        None,
+        requests,
+        args.workers,
+    )
     report = {
         "suite": "zoo",
         "families": {name: {"tasks": len(family)} for name, family in corpus.items()},
@@ -624,17 +547,7 @@ def _cmd_bench_zoo(args: argparse.Namespace) -> int:
         "verdicts_identical": identical,
         "context": context,
     }
-    family_text = ", ".join(f"{name}: {len(family)}" for name, family in corpus.items())
-    lines = [f"zoo: {len(requests)} containment tests ({family_text})"]
-    for backend in backends:
-        run = runs[backend]
-        speedup = run["speedup_vs_serial"]
-        lines.append(
-            f"  {backend:8s} {run['elapsed_seconds'] * 1000:9.1f} ms  "
-            f"{f'{speedup:.2f}x' if speedup is not None else 'inf'} vs serial"
-        )
-    lines.append(f"  verdicts identical across backends: {identical}")
-    _emit(report, args.json, "\n".join(lines))
+    _emit(report, args.json, summary)
     return 0 if identical else 1
 
 
@@ -657,27 +570,8 @@ def _cmd_bench_evolve(args: argparse.Namespace) -> int:
     from .core import clear_compile_memo
     from .workloads.zoo import HEAVY_EVOLUTION_WORD_CAP, heavy_evolution_corpus
 
-    ignored = []
-    if args.spec:
-        ignored.append("--spec")
-    if args.workload != "medical":
-        ignored.append("--workload")
-    if args.length != 8:
-        ignored.append("--length")
-    if args.persist:
-        ignored.append("--persist")
-    if args.backends != "serial,thread,process":
-        ignored.append("--backends")
-    if ignored:
-        print(
-            f"bench: {', '.join(ignored)} do(es) not apply to --suite evolve "
-            "(it runs the seeded heavy evolution corpus serially); ignoring",
-            file=sys.stderr,
-        )
-
     context = _context_block()
-    queries = args.requests if args.requests is not None else 8
-    old_schema, new_schema, pairs = heavy_evolution_corpus(queries=queries)
+    old_schema, new_schema, pairs = heavy_evolution_corpus(queries=args.requests)
     config = ContainmentConfig(
         satisfiability=SatisfiabilityConfig(max_words_per_atom=HEAVY_EVOLUTION_WORD_CAP)
     )
@@ -756,25 +650,8 @@ def _cmd_bench_service(args: argparse.Namespace) -> int:
     from .workloads.replay import latency_percentiles
     from .workloads.streams import closed_loop, request_stream
 
-    ignored = []
-    if args.backends != "serial,thread,process":
-        ignored.append("--backends")
-    if args.repeats is not None:
-        ignored.append("--repeats")
-    if args.spec:
-        ignored.append("--spec")
-    if args.workload != "medical":
-        ignored.append("--workload")
-    if args.persist:
-        ignored.append("--persist")
-    if ignored:
-        print(
-            f"bench: {', '.join(ignored)} do(es) not apply to --suite service "
-            "(it replays the fixed mixed-schema request stream); ignoring",
-            file=sys.stderr,
-        )
     context = _context_block()
-    request_count = args.requests if args.requests is not None else 96
+    request_count = args.requests
     clients = args.clients
     workers = args.workers or min(os.cpu_count() or 1, 8)
 
@@ -838,6 +715,67 @@ def _cmd_bench_service(args: argparse.Namespace) -> int:
     )
     _emit(report, args.json, summary)
     return 0 if identical else 1
+
+
+#: The bench suites: each one's runner, the shared bench flags it reads (with
+#: the default it fills in for one left unset) and what it runs, which names
+#: the reason in the warning about a flag it ignores.
+BENCH_SUITES: Dict[str, Tuple[Any, Dict[str, Any], str]] = {
+    "backends": (
+        _cmd_bench_backends,
+        {"workload": "medical", "length": 8, "spec": None, "backends": "serial,process",
+         "workers": None},
+        "it compares fresh, store-less engines on one workload",
+    ),
+    "automata": (
+        _cmd_bench_automata,
+        {"repeats": 5, "requests": 50},
+        "it runs a fixed built-in corpus",
+    ),
+    "store": (
+        _cmd_bench_store,
+        {"length": 8, "persist": None},
+        "it runs the mixed workload serially",
+    ),
+    "service": (
+        _cmd_bench_service,
+        {"length": 8, "workers": None, "requests": 96, "clients": 8, "max_batch": 32},
+        "it replays the fixed mixed-schema request stream",
+    ),
+    "zoo": (
+        _cmd_bench_zoo,
+        {"backends": "serial,process", "workers": None, "requests": 72},
+        "it runs the seeded zoo corpus",
+    ),
+    "evolve": (
+        _cmd_bench_evolve,
+        {"requests": 8},
+        "it runs the seeded heavy evolution corpus serially",
+    ),
+}
+
+#: Every shared bench flag (``argparse`` dest names): each is read by some suite.
+BENCH_FLAGS = tuple(dict.fromkeys(flag for _, reads, _ in BENCH_SUITES.values() for flag in reads))
+
+
+def _cmd_bench(args: argparse.Namespace) -> int:
+    """``bench`` — warn about the flags the suite ignores, fill in its defaults, run it."""
+    runner, reads, what_it_runs = BENCH_SUITES[args.suite]
+    ignored = [
+        "--" + flag.replace("_", "-")
+        for flag in BENCH_FLAGS
+        if flag not in reads and getattr(args, flag) is not None
+    ]
+    if ignored:
+        print(
+            f"bench: {', '.join(ignored)} do(es) not apply to --suite {args.suite} "
+            f"({what_it_runs}); ignoring",
+            file=sys.stderr,
+        )
+    for flag, default in reads.items():
+        if getattr(args, flag) is None:
+            setattr(args, flag, default)
+    return runner(args)
 
 
 def _cmd_replay(args: argparse.Namespace) -> int:
@@ -1090,7 +1028,7 @@ def build_parser() -> argparse.ArgumentParser:
     batch.add_argument(
         "--backend", choices=BACKENDS, default="serial", help="execution backend (default: serial)"
     )
-    batch.add_argument("--workers", type=int, default=None, help="worker count for thread/process")
+    batch.add_argument("--workers", type=int, default=None, help="worker count for process")
     batch.add_argument(
         "--repeat", type=int, default=1, help="repeat the batch N times, report the last (warm) run"
     )
@@ -1107,7 +1045,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_workload_arguments(bench)
     bench.add_argument(
         "--suite",
-        choices=("backends", "automata", "store", "service", "zoo", "evolve"),
+        choices=tuple(BENCH_SUITES),
         default="backends",
         help=(
             "benchmark suite: 'backends' compares execution backends on a workload, "
@@ -1123,10 +1061,9 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--spec", help="JSON spec file (overrides --workload)")
     bench.add_argument(
         "--backends",
-        default="serial,thread,process",
-        help="comma-separated backends to compare (default: serial,thread,process)",
+        help="comma-separated backends to compare (default: serial,process)",
     )
-    bench.add_argument("--workers", type=int, default=None, help="worker count for thread/process")
+    bench.add_argument("--workers", type=int, help="worker count for process")
     bench.add_argument(
         "--repeats",
         type=int,
@@ -1145,16 +1082,10 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     bench.add_argument(
-        "--clients",
-        type=int,
-        default=8,
-        help="service suite: closed-loop client threads (default: 8)",
+        "--clients", type=int, help="service suite: closed-loop client threads (default: 8)"
     )
     bench.add_argument(
-        "--max-batch",
-        type=int,
-        default=32,
-        help="service suite: max coalesced batch size (default: 32)",
+        "--max-batch", type=int, help="service suite: max coalesced batch size (default: 32)"
     )
     _add_persist_argument(
         bench,
@@ -1162,7 +1093,8 @@ def build_parser() -> argparse.ArgumentParser:
         "default: a temporary file)",
     )
     _add_report_argument(bench)
-    bench.set_defaults(handler=_cmd_bench)
+    # every shared flag starts unset: _cmd_bench fills in the suite's defaults
+    bench.set_defaults(handler=_cmd_bench, workload=None, length=None)
 
     serve = subparsers.add_parser(
         "serve",
@@ -1183,11 +1115,11 @@ def build_parser() -> argparse.ArgumentParser:
         default="auto",
         help=(
             "backend coalesced batches run on; 'auto' measures per-item solve "
-            "and serialization cost and picks serial/thread/process per batch "
+            "and serialization cost and picks serial or process per batch "
             "(default: auto)"
         ),
     )
-    serve.add_argument("--workers", type=int, default=None, help="worker count for thread/process")
+    serve.add_argument("--workers", type=int, default=None, help="worker count for process")
     serve.add_argument(
         "--max-batch", type=int, default=64, help="max coalesced batch size (default: 64)"
     )
@@ -1251,7 +1183,7 @@ def build_parser() -> argparse.ArgumentParser:
             "pick from measured cost (default: serial)"
         ),
     )
-    replay.add_argument("--workers", type=int, default=None, help="worker count for thread/process")
+    replay.add_argument("--workers", type=int, default=None, help="worker count for process")
     replay.add_argument(
         "--max-batch", type=int, default=64, help="replay: max coalesced batch size (default: 64)"
     )

@@ -10,7 +10,7 @@ bundle depends on the schema, so one regex compiles once no matter how many
 schemas use it.
 
 Two invariants matter for verdict stability (the engine's fingerprints are
-asserted bit-identical across serial/thread/process backends *and* across
+asserted bit-identical across serial/process backends *and* across
 cached/uncached runs):
 
 * the NFA is exactly ``build_nfa(regex)`` — memoization changes *when* it is

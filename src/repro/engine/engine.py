@@ -34,7 +34,7 @@ composition and invalidation rules):
 Because all keys are content fingerprints, mutating a schema or query after a
 call can never make the caches return stale answers — a mutated object simply
 fingerprints to a new key.  :meth:`ContainmentEngine.check_many` evaluates
-batches (optionally on a :class:`~concurrent.futures.ThreadPoolExecutor`) and
+batches (serially, or over the worker-process pool) and
 :data:`default_engine` provides the process-wide instance behind the
 stateless :func:`repro.containment.contains` wrapper.
 
@@ -61,10 +61,8 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-import os
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
@@ -314,8 +312,10 @@ class ContainmentEngine:
     The engine is schema-agnostic: pass the schema per call (or bind one with
     :meth:`solver`), and artefacts are cached under content fingerprints, so
     one engine can serve any number of schemas concurrently.  All cache
-    access is serialised by an internal lock; :meth:`check_many` may fan a
-    batch out over threads.
+    access is serialised by an internal lock, so concurrent callers (the
+    service's handler threads, its coalescer flusher, :meth:`evolve`) share
+    one engine safely; :meth:`check_many` scales across cores with worker
+    processes.
     """
 
     def __init__(
@@ -428,7 +428,7 @@ class ContainmentEngine:
         requests: Iterable[Union[ContainmentRequest, Sequence]],
         schema: Optional[Schema] = None,
         config: Optional[ContainmentConfig] = None,
-        parallel: Union[bool, str] = False,
+        parallel: str = "serial",
         max_workers: Optional[int] = None,
     ) -> List[ContainmentResult]:
         """Decide a batch of containment tests; results keep request order.
@@ -438,12 +438,7 @@ class ContainmentEngine:
         ``schema`` and ``config`` arguments fill in whatever a request leaves
         unset.  ``parallel`` selects the execution backend:
 
-        * ``False`` / ``"serial"`` — this thread, in request order;
-        * ``True`` / ``"thread"`` — a
-          :class:`~concurrent.futures.ThreadPoolExecutor`; under CPython's
-          GIL this overlaps at most allocator- and cache-bound work, so it
-          helps mixed workloads and free-threaded builds, not the CPU-bound
-          chase;
+        * ``"serial"`` — this thread, in request order;
         * ``"process"`` — the engine's persistent
           :class:`~repro.engine.parallel.WorkerPool` of worker processes,
           sharded by schema fingerprint (see docs/ARCHITECTURE.md).  Worker
@@ -458,8 +453,8 @@ class ContainmentEngine:
         * ``"auto"`` — measure, then choose: the first batch over a schema
           pays a calibration probe (its first item solved serially, timed,
           plus one timed pickle of the request) and the
-          :class:`~repro.engine.adaptive.AdaptiveSelector` picks one of the
-          three backends per batch from the recorded per-schema cost
+          :class:`~repro.engine.adaptive.AdaptiveSelector` picks serial or
+          process per batch from the recorded per-schema cost
           profile, the batch size, the core count and the pool state.
 
         All backends return bit-identical results (asserted by
@@ -494,40 +489,21 @@ class ContainmentEngine:
             return self._check_many_adaptive(normalized, max_workers)
         if backend == "process" and normalized:
             return self._check_many_in_processes(normalized, max_workers)
-        if backend in ("auto", "process"):
-            backend = "serial"  # empty batch: nothing to fan out
-        return self._check_many_local(normalized, backend, max_workers)
+        return self._check_many_serial(normalized)
 
-    def _check_many_local(
-        self,
-        normalized: List[Tuple[Any, Any, Schema, Optional[ContainmentConfig]]],
-        backend: str,
-        max_workers: Optional[int],
+    def _check_many_serial(
+        self, normalized: List[Tuple[Any, Any, Schema, Optional[ContainmentConfig]]]
     ) -> List[ContainmentResult]:
-        """The in-process backends: serial, or a thread pool."""
-
-        def run(task: Tuple[Any, Any, Schema, Optional[ContainmentConfig]]) -> ContainmentResult:
-            left, right, task_schema, task_config = task
-            return self.contains(left, right, task_schema, task_config)
-
-        if backend == "thread" and len(normalized) > 1:
-            workers = max_workers or self.max_workers or min(32, (os.cpu_count() or 2))
-            workers = min(workers, len(normalized))
-            with ThreadPoolExecutor(max_workers=workers) as executor:
-                return list(executor.map(run, normalized))
-        return [run(task) for task in normalized]
+        """The serial backend: this thread, in request order."""
+        return [self.contains(*task) for task in normalized]
 
     @staticmethod
-    def _normalise_backend(parallel: Union[bool, str]) -> str:
-        if parallel is False or parallel == "serial":
-            return "serial"
-        if parallel is True or parallel == "thread":
-            return "thread"
-        if parallel in ("process", "auto"):
+    def _normalise_backend(parallel: str) -> str:
+        if parallel in ("serial", "process", "auto"):
             return parallel
         raise ValueError(
             f"check_many: unknown backend {parallel!r} "
-            "(expected False/'serial', True/'thread', 'process' or 'auto')"
+            "(expected 'serial', 'process' or 'auto')"
         )
 
     def _check_many_adaptive(
@@ -576,11 +552,10 @@ class ContainmentEngine:
         )
         if backend == "process":
             return probed + self._check_many_in_processes(remainder, max_workers)
-        results = self._check_many_local(remainder, backend, max_workers)
-        if backend == "serial":
-            # free refresh of the solve estimate (transport stays as measured)
-            for fingerprint, result in zip(remainder_fps, results):
-                selector.observe(fingerprint, result.elapsed_seconds)
+        results = self._check_many_serial(remainder)
+        # free refresh of the solve estimate (transport stays as measured)
+        for fingerprint, result in zip(remainder_fps, results):
+            selector.observe(fingerprint, result.elapsed_seconds)
         return probed + results
 
     def _check_many_in_processes(

@@ -29,7 +29,7 @@ This module supplies the two mechanisms that make the boundary cheap
   request payloads themselves.
 
 Every mechanism preserves the engine's core invariant: verdicts and
-``result_fingerprint`` digests are bit-identical across serial, thread and
+``result_fingerprint`` digests are bit-identical across the serial and
 process backends.
 """
 

@@ -18,6 +18,7 @@ killing the stream.
 
 from __future__ import annotations
 
+import functools
 import json
 import queue
 import threading
@@ -50,6 +51,16 @@ def serve_stdio(
     pending: "queue.Queue[Any]" = queue.Queue()
     counts = {"requests": 0, "responses": 0, "errors": 0}
     counts_lock = threading.Lock()
+
+    def answer(future, request_id: Any) -> Dict[str, Any]:
+        # a wait that fails cancels the request, as ContainmentService.handle
+        # does, so a queued one is dropped instead of decided for nobody
+        try:
+            result = future.result(REQUEST_TIMEOUT_SECONDS)
+        except BaseException:
+            future.cancel()
+            raise
+        return service.render(result, request_id)
 
     def writer() -> None:
         while True:
@@ -101,12 +112,7 @@ def serve_stdio(
                 except ServiceError as error:
                     pending.put(lambda error=error: {"error": str(error)})
                 else:
-                    request_id = payload.get("id")
-                    pending.put(
-                        lambda future=future, request_id=request_id: service.render(
-                            future.result(REQUEST_TIMEOUT_SECONDS), request_id
-                        )
-                    )
+                    pending.put(functools.partial(answer, future, payload.get("id")))
             else:
                 pending.put(lambda op=op: {"error": f"unknown op {op!r}"})
     finally:

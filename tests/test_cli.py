@@ -119,12 +119,13 @@ def test_batch_rejects_malformed_specs(tmp_path):
 
 def test_bench_asserts_backend_agreement(capsys):
     code = main(
-        ["bench", "--workload", "social", "--backends", "serial,thread", "--json", "-"]
+        ["bench", "--workload", "social", "--backends", "serial,process", "--workers", "1",
+         "--json", "-"]
     )
     assert code == 0
     report = json.loads(capsys.readouterr().out)
     assert report["verdicts_identical"] is True
-    assert set(report["backends"]) == {"serial", "thread"}
+    assert set(report["backends"]) == {"serial", "process"}
     assert len(set(report["fingerprints"].values())) == 1
     assert report["backends"]["serial"]["speedup_vs_serial"] == 1.0
 
@@ -148,6 +149,46 @@ def test_bench_includes_process_backend(capsys):
 def test_bench_rejects_unknown_backends():
     with pytest.raises(SystemExit):
         main(["bench", "--workload", "medical", "--backends", "serial,warp"])
+    with pytest.raises(SystemExit):
+        main(["bench", "--workload", "medical", "--backends", "serial,thread"])
+    with pytest.raises(SystemExit):
+        main(["bench", "--workload", "medical", "--backends", ","])
+
+
+@pytest.mark.parametrize(
+    "suite_argv",
+    [["--workload", "social"], ["--suite", "zoo", "--requests", "12"]],
+    ids=["backends", "zoo"],
+)
+def test_bench_runs_every_backend_from_an_empty_compile_memo(monkeypatch, capsys, suite_argv):
+    """A backend must not inherit the compilations of the one before it, or
+    the order of ``--backends`` moves the reported speedup."""
+    from repro import cli
+    from repro.core import clear_compile_memo
+
+    inherited = {}
+    run_backend = cli._run_backend
+
+    def recording(engine, backend, *rest):
+        inherited[backend] = clear_compile_memo()  # the memo entries on entry
+        return run_backend(engine, backend, *rest)
+
+    monkeypatch.setattr(cli, "_run_backend", recording)
+    argv = ["bench", *suite_argv, "--backends", "serial,process", "--workers", "1", "--json", "-"]
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["verdicts_identical"] is True
+    assert inherited == {"serial": 0, "process": 0}
+
+
+def test_bench_warns_about_flags_the_suite_ignores(capsys):
+    assert main(["bench", "--suite", "store", "--length", "3", "--backends", "serial"]) == 0
+    err = capsys.readouterr().err
+    assert (
+        "bench: --backends do(es) not apply to --suite store "
+        "(it runs the mixed workload serially); ignoring"
+    ) in err
+    # a flag the suite reads is never reported
+    assert "--length" not in err
 
 
 def test_unknown_subcommand_exits_with_usage():
@@ -302,15 +343,15 @@ def test_serve_stdio_round_trip(monkeypatch, capsys):
 
 def test_bench_zoo_suite_json_report(capsys):
     code = main(
-        ["bench", "--suite", "zoo", "--requests", "12", "--backends", "serial,thread",
-         "--json", "-"]
+        ["bench", "--suite", "zoo", "--requests", "12", "--backends", "serial,process",
+         "--workers", "1", "--json", "-"]
     )
     assert code == 0
     report = json.loads(capsys.readouterr().out)
     assert report["suite"] == "zoo"
     assert set(report["families"]) == {"property", "tree-device", "atm-fragments"}
     assert report["verdicts_identical"] is True
-    assert set(report["backends"]) == {"serial", "thread"}
+    assert set(report["backends"]) == {"serial", "process"}
     assert len(set(report["fingerprints"].values())) == 1
 
 

@@ -7,12 +7,15 @@ every verdict-relevant field) from one computed by a fresh, cache-free
 warmed the caches beforehand.
 """
 
+import sys
+import threading
+
 import hypothesis.strategies as st
 import pytest
 from hypothesis import HealthCheck, given, settings
 
 import repro
-from repro.analysis import check_equivalence, elicit_schema, type_check
+from repro.analysis import check_equivalence, elicit_schema, type_check, type_check_many
 from repro.containment import ContainmentConfig, ContainmentSolver, contains
 from repro.dl import schema_to_extended_tbox
 from repro.engine import (
@@ -303,16 +306,59 @@ def test_check_many_preserves_order_and_matches_sequential():
     assert engine.stats.batches == 1
 
 
-def test_check_many_parallel_matches_sequential():
+def test_concurrent_callers_match_serial_with_exact_counters():
+    """One engine shared by plain threads — as the service's handler threads,
+    coalescer flusher and ``evolve`` share it — answers exactly like serial
+    calls, cold and warm, and its lock loses no counter update."""
     schema, batch = _batch_and_schema()
-    sequential = ContainmentEngine().check_many(batch, schema=schema)
-    parallel = ContainmentEngine().check_many(batch, schema=schema, parallel=True, max_workers=4)
-    assert [verdict(r) for r in parallel] == [verdict(r) for r in sequential]
-    # and on a warm engine too
+    expected = [verdict(r) for r in ContainmentEngine().check_many(batch, schema=schema)]
     engine = ContainmentEngine()
-    engine.check_many(batch, schema=schema)
-    warm_parallel = engine.check_many(batch, schema=schema, parallel=True)
-    assert [verdict(r) for r in warm_parallel] == [verdict(r) for r in sequential]
+    callers = 4
+
+    def run_round(repeats):
+        answers = [None] * callers
+        barrier = threading.Barrier(callers)
+
+        def caller(slot):
+            barrier.wait()  # start together so the callers really race
+            for _ in range(repeats):
+                answers[slot] = [engine.contains(left, right, schema) for left, right in batch]
+
+        threads = [threading.Thread(target=caller, args=(slot,)) for slot in range(callers)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+            assert not thread.is_alive()
+        for results in answers:
+            assert [verdict(r) for r in results] == expected
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter can
+    try:
+        run_round(1)  # cold: callers may race to solve the same key
+        cold_misses = engine.stats.results.misses
+        assert len(batch) <= cold_misses <= callers * len(batch)
+        run_round(50)  # warm: every call replays
+    finally:
+        sys.setswitchinterval(interval)
+    stats = engine.stats
+    calls = 51 * callers * len(batch)
+    assert stats.contains_calls == calls
+    assert stats.results.lookups == stats.results.hits + stats.results.misses == calls
+    assert stats.results.misses == cold_misses
+
+
+def test_the_thread_backend_is_gone():
+    schema, batch = _batch_and_schema()
+    engine = ContainmentEngine()
+    for parallel in ("thread", True, False):
+        with pytest.raises(ValueError, match="'serial', 'process' or 'auto'"):
+            engine.check_many(batch, schema=schema, parallel=parallel)
+    jobs = [(medical.migration(), medical.source_schema(), medical.target_schema())]
+    with pytest.raises(ValueError, match="unknown backend 'thread'"):
+        type_check_many(jobs, parallel="thread", engine=engine)
+    assert engine.stats.contains_calls == 0
 
 
 def test_check_many_accepts_requests_and_mixed_schemas():

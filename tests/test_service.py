@@ -536,6 +536,28 @@ def test_stdio_reports_unknown_ops_and_bad_payloads():
     assert responses[3] == {"ok": True}
 
 
+def test_stdio_cancels_a_request_whose_wait_times_out(monkeypatch):
+    """A timed-out stdio line answers with an error and its queued request
+    is dropped, never decided for nobody."""
+    monkeypatch.setattr("repro.service.stdio.REQUEST_TIMEOUT_SECONDS", 0.01)
+    payload = {"workload": "medical", "right": "q(x) := Vaccine(x)"}
+    with _GatedEngine() as engine:
+        with ContainmentService(engine=engine, parallel="serial") as service:
+            running = service.submit({**payload, "left": "a(x) := (designTarget)(x, y)"})
+            engine.wait_for_wave()  # "a" holds the flusher, so "b" queues behind it
+            line = json.dumps({**payload, "left": "b(x) := (designTarget)(x, y)", "id": 7})
+            output = StringIO()
+            counts = serve_stdio(service, StringIO(line + "\n"), output)
+            engine.gate.set()
+            assert running.result(timeout=30).contained
+            service.coalescer.close()
+            assert engine.waves == [["a"]]
+            assert service.coalescer.stats.abandoned == 1
+    [response] = [json.loads(text) for text in output.getvalue().splitlines()]
+    assert "TimeoutError" in response["error"]
+    assert counts == {"requests": 1, "responses": 1, "errors": 1}
+
+
 def test_service_constructor_failure_closes_its_own_engine(tmp_path):
     """A half-built service must not leak the engine (or its store handle)."""
     store_path = tmp_path / "leak-check.db"
